@@ -545,7 +545,11 @@ def summarize_prof(argv):
     if kernels:
         ops_peak = peak.get("minplus_ops_per_second", 0)
         bytes_peak = peak.get("stream_bytes_per_second", 0)
-        print(f"\nkernel roofline (peak {ops_peak:.3g} ops/s, "
+        spread = ""
+        if "minplus_ops_per_second_min" in peak:
+            spread = (f" [trials {peak['minplus_ops_per_second_min']:.3g}"
+                      f"-{peak['minplus_ops_per_second_max']:.3g}]")
+        print(f"\nkernel roofline (peak {ops_peak:.3g} ops/s{spread}, "
               f"{bytes_peak:.3g} bytes/s):")
         print(f"  {'kernel':<28} {'calls':>8} {'ops/s':>10} {'%peak':>7} "
               f"{'bytes/s':>10} {'ops/cycle':>10}")

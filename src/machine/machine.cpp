@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "util/metrics.hpp"
+#include "util/prof.hpp"
 
 namespace capsp {
 
@@ -349,18 +350,24 @@ std::vector<Dist> Comm::raw_receive(RankId src, Tag tag) {
   if (impl.injector) flush_delayed();
 
   Message message;
-  if (WaitRegistry* waits = impl.waits.get()) {
-    waits->enter(rank_, src, tag, cost_.clock, cost_.current_phase);
-    try {
+  {
+    // Time blocked on a peer is waiting, not work: without its own scope
+    // the profiler would charge it to the caller's region as self time.
+    ProfScope wait("machine.recv.wait");
+    if (WaitRegistry* waits = impl.waits.get()) {
+      waits->enter(rank_, src, tag, cost_.clock, cost_.current_phase);
+      try {
+        message =
+            impl.mailboxes[static_cast<std::size_t>(rank_)].take(src, tag);
+      } catch (...) {
+        waits->leave(rank_);
+        throw;
+      }
+      waits->leave(rank_);
+    } else {
       message =
           impl.mailboxes[static_cast<std::size_t>(rank_)].take(src, tag);
-    } catch (...) {
-      waits->leave(rank_);
-      throw;
     }
-    waits->leave(rank_);
-  } else {
-    message = impl.mailboxes[static_cast<std::size_t>(rank_)].take(src, tag);
   }
 
   // Receiving serializes on this rank (+1 message, +w words), but

@@ -1,15 +1,27 @@
 #include "semiring/kernels.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "util/metrics.hpp"
+#include "util/minplus_relax.hpp"
 #include "util/prof.hpp"
 
 namespace capsp {
 
-std::int64_t classical_fw(DistBlock& a) {
-  CAPSP_CHECK(a.rows() == a.cols());
-  ProfScope prof("semiring.classical_fw");
+static_assert(std::is_same_v<Dist, double>,
+              "relax_row is the double-precision min-plus row");
+
+namespace {
+
+// The kernel bodies below are compiled once per CAPSP_MINPLUS_CLONES target
+// and dispatched at load time; only the j loop (relax_row) is vectorized.
+// The i/k order is part of the result: with C aliasing A (R² column
+// panels) a(i,k) is read after earlier k have updated row i, so both the
+// distances and the skip count depend on it.
+
+CAPSP_MINPLUS_CLONES
+std::int64_t fw_body(DistBlock& a) {
   const std::int64_t n = a.rows();
   std::int64_t ops = 0;
   for (std::int64_t k = 0; k < n; ++k) {
@@ -17,14 +29,46 @@ std::int64_t classical_fw(DistBlock& a) {
     for (std::int64_t i = 0; i < n; ++i) {
       const Dist aik = a.at(i, k);
       if (is_inf(aik)) continue;  // row i cannot improve through k
-      Dist* ri = a.row(i);
-      for (std::int64_t j = 0; j < n; ++j) {
-        const Dist cand = aik + rk[j];
-        if (cand < ri[j]) ri[j] = cand;
-      }
+      relax_row(a.row(i), rk, aik, n);
       ops += n;
     }
   }
+  return ops;
+}
+
+CAPSP_MINPLUS_CLONES
+std::int64_t accumulate_body(DistBlock& c, const DistBlock& a,
+                             const DistBlock& b) {
+  const std::int64_t m = a.rows(), kk = a.cols(), nn = b.cols();
+  std::int64_t ops = 0;
+  // i-k-j loop order: B and C rows stream contiguously; skip infinite a(i,k)
+  // so "empty" sub-structure costs nothing (the sparsity the paper exploits).
+  for (std::int64_t i = 0; i < m; ++i) {
+    Dist* ci = c.row(i);
+    const Dist* ai = a.row(i);
+    for (std::int64_t k = 0; k < kk; ++k) {
+      const Dist aik = ai[k];
+      if (is_inf(aik)) continue;
+      relax_row(ci, b.row(k), aik, nn);
+      ops += nn;
+    }
+  }
+  return ops;
+}
+
+CAPSP_MINPLUS_CLONES
+void min_body(Dist* c, const Dist* other, std::size_t n) {
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i) c[i] = tropical_min(c[i], other[i]);
+}
+
+}  // namespace
+
+std::int64_t classical_fw(DistBlock& a) {
+  CAPSP_CHECK(a.rows() == a.cols());
+  ProfScope prof("semiring.classical_fw");
+  const std::int64_t n = a.rows();
+  const std::int64_t ops = fw_body(a);
   metrics().counter_add("semiring.kernels.fw_ops", ops);
   metrics().observe("semiring.kernels.block_dim", static_cast<double>(n));
   prof.add_ops(ops);
@@ -39,7 +83,6 @@ std::int64_t minplus_accumulate(DistBlock& c, const DistBlock& a,
   CAPSP_CHECK(c.rows() == a.rows() && c.cols() == b.cols());
   ProfScope prof("semiring.minplus");
   const std::int64_t m = a.rows(), kk = a.cols(), nn = b.cols();
-  std::int64_t ops = 0;
   // An all-infinite operand contributes nothing: the product is empty and
   // the whole multiply is skipped (the sparsity saving of Sec. 4.1).  The
   // O(k·n) scan is negligible against the O(m·k·n) multiply it can avoid.
@@ -48,22 +91,7 @@ std::int64_t minplus_accumulate(DistBlock& c, const DistBlock& a,
     metrics().counter_add("semiring.kernels.empty_skips");
     return 0;
   }
-  // i-k-j loop order: B and C rows stream contiguously; skip infinite a(i,k)
-  // so "empty" sub-structure costs nothing (the sparsity the paper exploits).
-  for (std::int64_t i = 0; i < m; ++i) {
-    Dist* ci = c.row(i);
-    const Dist* ai = a.row(i);
-    for (std::int64_t k = 0; k < kk; ++k) {
-      const Dist aik = ai[k];
-      if (is_inf(aik)) continue;
-      const Dist* bk = b.row(k);
-      for (std::int64_t j = 0; j < nn; ++j) {
-        const Dist cand = aik + bk[j];
-        if (cand < ci[j]) ci[j] = cand;
-      }
-      ops += nn;
-    }
-  }
+  const std::int64_t ops = accumulate_body(c, a, b);
   metrics().counter_add("semiring.kernels.minplus_ops", ops);
   prof.add_ops(ops);
   prof.add_bytes((m * kk + kk * nn + m * nn) *
@@ -135,8 +163,7 @@ void elementwise_min(DistBlock& c, const DistBlock& other) {
   ProfScope prof("semiring.elementwise_min");
   auto cd = c.data();
   auto od = other.data();
-  for (std::size_t i = 0; i < cd.size(); ++i)
-    cd[i] = tropical_min(cd[i], od[i]);
+  min_body(cd.data(), od.data(), cd.size());
   prof.add_ops(static_cast<std::int64_t>(cd.size()));
   prof.add_bytes(static_cast<std::int64_t>(cd.size()) * 3 *
                  static_cast<std::int64_t>(sizeof(Dist)));

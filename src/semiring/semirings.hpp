@@ -10,14 +10,18 @@
 // A semiring policy provides the two operations, the two constants, and
 // an `is_zero` predicate used for the sparsity skipping (a 0̄ operand
 // annihilates the product, exactly like +inf in min-plus).  The kernels
-// in this header are the templated twins of semiring/kernels.hpp; the
-// min-plus instantiations are what the distributed algorithms use, and
-// closure.hpp builds the graph-level solvers on top.
+// in this header run the non-min-plus semirings (closure.hpp builds the
+// graph-level solvers on top).  Min-plus runs on the vectorized kernels of
+// semiring/kernels.hpp, which SemiringKernels::of<MinPlusSemiring>()
+// binds; the min-plus instantiations here are only the reference the
+// kernel tests compare against.
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 #include "semiring/block.hpp"
+#include "semiring/kernels.hpp"
 #include "util/metrics.hpp"
 #include "util/prof.hpp"
 
@@ -158,8 +162,12 @@ struct SemiringKernels {
 
   template <typename S>
   static SemiringKernels of() {
-    return {&semiring_fw<S>, &semiring_accumulate<S>,
-            &semiring_elementwise_plus<S>, S::zero(), S::one()};
+    if constexpr (std::is_same_v<S, MinPlusSemiring>)
+      return {&classical_fw, &minplus_accumulate, &elementwise_min,
+              S::zero(), S::one()};
+    else
+      return {&semiring_fw<S>, &semiring_accumulate<S>,
+              &semiring_elementwise_plus<S>, S::zero(), S::one()};
   }
 };
 

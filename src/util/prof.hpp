@@ -141,11 +141,14 @@ struct PerfCounterSet {
 };
 
 /// Startup-probed machine peaks for the roofline axes: an in-cache
-/// scalar min-plus loop (compute roof) and a large streaming
-/// elementwise-min pass (memory roof).  Probed once per process (~20 ms)
-/// on first use, then cached.
+/// min-plus multiply through the kernels' own relaxation loop (compute
+/// roof; median of 5 trials, with the trials' min and max) and a large
+/// streaming elementwise-min pass (memory roof).  Probed once per process
+/// (~120 ms) on first use, then cached.
 struct MachinePeak {
   double minplus_ops_per_second = 0;
+  double minplus_ops_per_second_min = 0;
+  double minplus_ops_per_second_max = 0;
   double stream_bytes_per_second = 0;
 };
 const MachinePeak& machine_peak();

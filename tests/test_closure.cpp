@@ -1,9 +1,13 @@
 // Tests for the closed-semiring generalization: semiring laws, the
-// generic kernels against naive references, bottleneck paths against a
+// generic kernels against naive references, the vectorized min-plus
+// kernels against the generic reference, bottleneck paths against a
 // maximizing-Dijkstra oracle, transitive closure against BFS, and the
 // key structural claim — the supernodal elimination schedule is
 // semiring-generic (Carré), verified by running it over MaxMin.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <iterator>
 
 #include "core/closure.hpp"
 #include "graph/algorithms.hpp"
@@ -68,6 +72,167 @@ TEST(Semirings, GenericFwInstantiatesMinPlusIdentically) {
   const std::int64_t special_ops = classical_fw(specialized);
   EXPECT_EQ(generic, specialized);
   EXPECT_EQ(generic_ops, special_ops);
+}
+
+// ---- The vectorized min-plus kernels vs the generic reference ----
+//
+// semiring/kernels.cpp is the only min-plus kernel set the solver runs;
+// the semiring_*<MinPlusSemiring> templates are the scalar reference.
+// Every comparison is bit for bit (memcmp, so -0 vs +0 counts) with equal
+// op counts.  The ISA clone is the one the load-time dispatcher picks for
+// this host (the clones are internal symbols); widths 1-17, 63 and 65 run
+// the vector tails of every clone width (2, 4 and 8 lanes).
+
+constexpr std::int64_t kWidths[] = {1,  2,  3,  4,  5,  6,  7,  8,  9, 10,
+                                    11, 12, 13, 14, 15, 16, 17, 63, 65};
+
+/// kWidths plus the empty extent.
+std::vector<std::int64_t> extents_with_zero() {
+  std::vector<std::int64_t> extents{0};
+  extents.insert(extents.end(), std::begin(kWidths), std::end(kWidths));
+  return extents;
+}
+
+/// ∞ (a quarter of entries), +0 and -0, small negative weights (directed
+/// graphs) and fractional positive weights.
+Dist adversarial_value(Rng& rng) {
+  switch (rng.uniform(8)) {
+    case 0:
+    case 1:
+      return kInf;
+    case 2:
+      return 0.0;
+    case 3:
+      return -0.0;
+    case 4:
+      return -static_cast<Dist>(1 + rng.uniform(4));
+    default:
+      return static_cast<Dist>(rng.uniform(1000)) / 8;
+  }
+}
+
+/// Random adversarial block with one all-∞ row and one all-∞ column
+/// where the shape has room for them.
+DistBlock adversarial_block(std::int64_t rows, std::int64_t cols, Rng& rng) {
+  DistBlock block(rows, cols);
+  for (Dist& d : block.data()) d = adversarial_value(rng);
+  if (rows > 2)
+    for (std::int64_t c = 0; c < cols; ++c) block.at(rows / 2, c) = kInf;
+  if (cols > 2)
+    for (std::int64_t r = 0; r < rows; ++r) block.at(r, cols / 2) = kInf;
+  return block;
+}
+
+void expect_bit_identical(const DistBlock& got, const DistBlock& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  if (got.empty()) return;
+  EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                        got.data().size_bytes()),
+            0);
+}
+
+/// C ← C ⊕ A ⊗ B through both kernels, from the same inputs.
+void check_accumulate(DistBlock c, const DistBlock& a, const DistBlock& b) {
+  DistBlock want = c;
+  const std::int64_t want_ops =
+      semiring_accumulate<MinPlusSemiring>(want, a, b);
+  EXPECT_EQ(minplus_accumulate(c, a, b), want_ops);
+  expect_bit_identical(c, want);
+}
+
+TEST(MinPlusKernels, SolverBindsTheVectorizedSet) {
+  const SemiringKernels kernels = SemiringKernels::of<MinPlusSemiring>();
+  EXPECT_TRUE(kernels.fw == &classical_fw);
+  EXPECT_TRUE(kernels.accumulate == &minplus_accumulate);
+  EXPECT_TRUE(kernels.combine == &elementwise_min);
+  EXPECT_EQ(kernels.zero, kInf);
+  EXPECT_EQ(kernels.one, 0);
+}
+
+TEST(MinPlusKernels, FwMatchesGenericBitForBit) {
+  Rng rng(41);
+  for (std::int64_t n : extents_with_zero()) {
+    SCOPED_TRACE(n);
+    DistBlock got = adversarial_block(n, n, rng);
+    DistBlock want = got;
+    const std::int64_t want_ops = semiring_fw<MinPlusSemiring>(want);
+    EXPECT_EQ(classical_fw(got), want_ops);
+    expect_bit_identical(got, want);
+  }
+}
+
+TEST(MinPlusKernels, AccumulateMatchesGenericOnEveryShape) {
+  Rng rng(42);
+  // 0×N, 1×N and N×1 operands, an empty inner dimension, and full blocks.
+  for (std::int64_t m : {0, 1, 5})
+    for (std::int64_t kk : {0, 1, 7})
+      for (std::int64_t nn : extents_with_zero()) {
+        SCOPED_TRACE(testing::Message() << m << "x" << kk << "x" << nn);
+        check_accumulate(adversarial_block(m, nn, rng),
+                         adversarial_block(m, kk, rng),
+                         adversarial_block(kk, nn, rng));
+        check_accumulate(adversarial_block(nn, m, rng),
+                         adversarial_block(nn, kk, rng),
+                         adversarial_block(kk, m, rng));
+      }
+}
+
+TEST(MinPlusKernels, AllInfiniteOperandsMatchGeneric) {
+  Rng rng(43);
+  for (std::int64_t n : kWidths) {
+    SCOPED_TRACE(n);
+    // An all-∞ B is the empty skip: no ops, C untouched.
+    const DistBlock c = adversarial_block(n, n, rng);
+    DistBlock got = c;
+    EXPECT_EQ(minplus_accumulate(got, adversarial_block(n, n, rng),
+                                 DistBlock(n, n)),
+              0);
+    expect_bit_identical(got, c);
+    check_accumulate(c, adversarial_block(n, n, rng), DistBlock(n, n));
+    // An all-∞ A skips every (i,k) pair one by one.
+    check_accumulate(c, DistBlock(n, n), adversarial_block(n, n, rng));
+  }
+}
+
+TEST(MinPlusKernels, AliasedPanelUpdatesMatchGeneric) {
+  // R² runs accumulate(local, local, akk) (C is A) and
+  // accumulate(local, akk, local) (C is B); both read rows the same call
+  // has already updated, so the result depends on the i-k-j order.
+  Rng rng(44);
+  for (std::int64_t n : kWidths)
+    for (std::int64_t m : {std::int64_t{1}, std::int64_t{5}, n}) {
+      SCOPED_TRACE(testing::Message() << m << "x" << n);
+      const DistBlock panel = adversarial_block(m, n, rng);
+
+      DistBlock got = panel, want = panel;
+      const DistBlock akk_right = adversarial_block(n, n, rng);
+      const std::int64_t want_a =
+          semiring_accumulate<MinPlusSemiring>(want, want, akk_right);
+      EXPECT_EQ(minplus_accumulate(got, got, akk_right), want_a);
+      expect_bit_identical(got, want);
+
+      got = panel;
+      want = panel;
+      const DistBlock akk_left = adversarial_block(m, m, rng);
+      const std::int64_t want_b =
+          semiring_accumulate<MinPlusSemiring>(want, akk_left, want);
+      EXPECT_EQ(minplus_accumulate(got, akk_left, got), want_b);
+      expect_bit_identical(got, want);
+    }
+}
+
+TEST(MinPlusKernels, ElementwiseMinMatchesGeneric) {
+  Rng rng(45);
+  for (std::int64_t n : extents_with_zero()) {
+    SCOPED_TRACE(n);
+    const DistBlock other = adversarial_block(3, n, rng);
+    DistBlock got = adversarial_block(3, n, rng);
+    DistBlock want = got;
+    semiring_elementwise_plus<MinPlusSemiring>(want, other);
+    elementwise_min(got, other);
+    expect_bit_identical(got, want);
+  }
 }
 
 TEST(Semirings, GenericAccumulateSkipsZeroOperands) {

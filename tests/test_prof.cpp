@@ -2,8 +2,9 @@
 // and kernel accounting, sampler sessions (folded stacks, self/total
 // attribution), the perf_event fallback path (forced via
 // CAPSP_PROF_NO_PERF so it runs everywhere, PMU or not), machine-peak
-// probing, and the JSON report shape — parsed back with the repo's own
-// strict parser rather than string-matched.
+// probing, wait attribution on a blocked receive, and the JSON report
+// shape — parsed back with the repo's own strict parser rather than
+// string-matched.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -12,6 +13,7 @@
 #include <sstream>
 #include <thread>
 
+#include "machine/machine.hpp"
 #include "util/json_parse.hpp"
 #include "util/prof.hpp"
 
@@ -176,9 +178,44 @@ TEST(Profiler, DisablingCountersSkipsTheAttempt) {
   EXPECT_FALSE(report.perf.any_available);
 }
 
+TEST(Profiler, BlockedReceiveIsChargedToRecvWait) {
+  // A rank blocked on a late sender is waiting, not working: its samples
+  // belong to machine.recv.wait, not to the self time of its caller.
+  ProfOptions options;
+  options.hz = 997;
+  ASSERT_TRUE(Profiler::global().start(options));
+  Machine machine(2);
+  machine.run([](Comm& comm) {
+    if (comm.rank() == 0) {
+      ProfScope region("test.prof.region");
+      EXPECT_EQ(comm.recv(1, 3), std::vector<Dist>{2.5});
+    } else {
+      std::this_thread::sleep_for(milliseconds(300));
+      comm.send(0, 3, std::vector<Dist>{2.5});
+    }
+  });
+  const ProfReport report = Profiler::global().stop();
+
+  const auto wait = report.self_samples.find("machine.recv.wait");
+  ASSERT_NE(wait, report.self_samples.end())
+      << "the blocked receive was never sampled under machine.recv.wait";
+  EXPECT_GT(wait->second, 0);
+  const auto region = report.self_samples.find("test.prof.region");
+  const std::int64_t region_self =
+      region == report.self_samples.end() ? 0 : region->second;
+  EXPECT_LT(region_self, wait->second);
+  bool saw_nested = false;
+  for (const FoldedStack& folded : report.folded)
+    if (folded.stack == "test.prof.region;machine.recv.wait") saw_nested = true;
+  EXPECT_TRUE(saw_nested);
+}
+
 TEST(MachinePeak, ProbedOnceAndPositive) {
   const MachinePeak& peak = machine_peak();
   EXPECT_GT(peak.minplus_ops_per_second, 0.0);
+  // The roof is the median trial; the spread brackets it.
+  EXPECT_LE(peak.minplus_ops_per_second_min, peak.minplus_ops_per_second);
+  EXPECT_GE(peak.minplus_ops_per_second_max, peak.minplus_ops_per_second);
   EXPECT_GT(peak.stream_bytes_per_second, 0.0);
   // Memoized: the second call returns the same numbers without reprobing.
   const MachinePeak& again = machine_peak();
@@ -204,6 +241,12 @@ TEST(ProfReport, JsonRoundTripsThroughTheStrictParser) {
   ASSERT_NE(profile->find("machine_peak"), nullptr);
   EXPECT_GT(profile->find("machine_peak")->find("minplus_ops_per_second")
                 ->number, 0.0);
+  EXPECT_GT(profile->find("machine_peak")->find("minplus_ops_per_second_min")
+                ->number, 0.0);
+  EXPECT_GE(profile->find("machine_peak")->find("minplus_ops_per_second_max")
+                ->number,
+            profile->find("machine_peak")->find("minplus_ops_per_second")
+                ->number);
   const JsonValue* kernels = profile->find("kernels");
   ASSERT_NE(kernels, nullptr);
   const JsonValue* inner = kernels->find("test.prof.inner");
