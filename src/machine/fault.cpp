@@ -1,102 +1,45 @@
 #include "machine/fault.hpp"
 
-#include <bit>
 #include <chrono>
-#include <cmath>
 #include <sstream>
 #include <thread>
 
 #include "util/check.hpp"
+#include "util/faultplan.hpp"
 #include "util/log.hpp"
 
 namespace capsp {
 namespace {
 
-double parse_probability(const std::string& key, const std::string& value) {
-  std::size_t used = 0;
-  double p = 0;
-  try {
-    p = std::stod(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  CAPSP_CHECK_MSG(used == value.size() && p >= 0 && p <= 1,
-                  "fault plan: " << key << "=" << value
-                                 << " is not a probability in [0, 1]");
-  return p;
-}
+constexpr faultplan::Grammar kGrammar{"fault plan"};
 
-std::int64_t parse_int(const std::string& key, const std::string& value) {
-  std::size_t used = 0;
-  std::int64_t v = 0;
-  try {
-    v = std::stoll(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  CAPSP_CHECK_MSG(used == value.size() && v >= 0,
-                  "fault plan: " << key << "=" << value
-                                 << " is not a non-negative integer");
-  return v;
-}
-
-/// "R@K" or "R@K:S" -> (rank, op index, optional stall seconds).
+/// kill=R@K or stall=R@K:S.
 void parse_rank_fault(FaultPlan& plan, const std::string& key,
                       const std::string& value, bool stall) {
-  const auto at = value.find('@');
-  CAPSP_CHECK_MSG(at != std::string::npos,
-                  "fault plan: " << key << "=" << value << " must be "
-                                 << (stall ? "rank@op:seconds" : "rank@op"));
-  RankFault fault;
-  const auto rank =
-      static_cast<RankId>(parse_int(key, value.substr(0, at)));
-  std::string rest = value.substr(at + 1);
-  if (stall) {
-    const auto colon = rest.find(':');
-    CAPSP_CHECK_MSG(colon != std::string::npos,
-                    "fault plan: " << key << "=" << value
-                                   << " must be rank@op:seconds");
-    const std::string seconds = rest.substr(colon + 1);
-    std::size_t used = 0;
-    try {
-      fault.stall_seconds = std::stod(seconds, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    CAPSP_CHECK_MSG(used == seconds.size() && fault.stall_seconds > 0,
-                    "fault plan: stall seconds must be positive in "
-                        << key << "=" << value);
-    rest = rest.substr(0, colon);
-  }
-  fault.op_index = parse_int(key, rest);
+  const faultplan::IndexedFault parsed =
+      kGrammar.indexed(key, value, "rank@op", stall);
+  const RankId rank = parsed.who;
   CAPSP_CHECK_MSG(plan.rank_faults.count(rank) == 0,
                   "fault plan: duplicate kill/stall for rank " << rank);
-  plan.rank_faults[rank] = fault;
+  plan.rank_faults[rank] = RankFault{parsed.index, parsed.seconds};
 }
 
 }  // namespace
 
 FaultPlan FaultPlan::parse(const std::string& spec) {
   FaultPlan plan;
-  std::stringstream stream(spec);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (item.empty()) continue;
-    const auto eq = item.find('=');
-    CAPSP_CHECK_MSG(eq != std::string::npos,
-                    "fault plan: expected key=value, got '" << item << "'");
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
+  kGrammar.for_each_item(spec, [&plan](const std::string& key,
+                                       const std::string& value) {
     if (key == "seed") {
-      plan.seed = static_cast<std::uint64_t>(parse_int(key, value));
+      plan.seed = static_cast<std::uint64_t>(kGrammar.count(key, value));
     } else if (key == "drop") {
-      plan.drop = parse_probability(key, value);
+      plan.drop = kGrammar.probability(key, value);
     } else if (key == "dup") {
-      plan.duplicate = parse_probability(key, value);
+      plan.duplicate = kGrammar.probability(key, value);
     } else if (key == "corrupt") {
-      plan.corrupt = parse_probability(key, value);
+      plan.corrupt = kGrammar.probability(key, value);
     } else if (key == "delay") {
-      plan.delay = parse_probability(key, value);
+      plan.delay = kGrammar.probability(key, value);
     } else if (key == "kill") {
       parse_rank_fault(plan, key, value, /*stall=*/false);
     } else if (key == "stall") {
@@ -106,7 +49,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
                                  << key << "' (seed|drop|dup|corrupt|delay|"
                                     "kill|stall)");
     }
-  }
+  });
   CAPSP_CHECK_MSG(
       plan.drop + plan.duplicate + plan.corrupt + plan.delay <= 1.0,
       "fault plan: probabilities sum to "
@@ -171,46 +114,35 @@ void FaultInjector::on_op(RankId rank) {
 FaultDecision FaultInjector::decide(RankId src) {
   if (!plan_.has_message_faults()) return FaultDecision::kDeliver;
   auto& state = ranks_[static_cast<std::size_t>(src)];
-  const double u = state.rng.uniform_real();
-  double threshold = plan_.drop;
-  if (u < threshold) {
-    ++state.counts.drops;
-    // Debug (ring-bound, rate-limited): drops are the common chaos
-    // event; the black box wants them, the sink usually does not.
-    CAPSP_LOG(kDebug, "machine.fault.drop", {"src", src});
-    return FaultDecision::kDrop;
+  switch (faultplan::pick(state.rng.uniform_real(),
+                          {plan_.drop, plan_.duplicate, plan_.corrupt,
+                           plan_.delay})) {
+    case 0:
+      ++state.counts.drops;
+      // Debug (ring-bound, rate-limited): drops are the common chaos
+      // event; the black box wants them, the sink usually does not.
+      CAPSP_LOG(kDebug, "machine.fault.drop", {"src", src});
+      return FaultDecision::kDrop;
+    case 1:
+      ++state.counts.duplicates;
+      return FaultDecision::kDuplicate;
+    case 2:
+      ++state.counts.corruptions;
+      CAPSP_LOG(kDebug, "machine.fault.corrupt", {"src", src});
+      return FaultDecision::kCorrupt;
+    case 3:
+      ++state.counts.delays;
+      return FaultDecision::kDelay;
+    default:
+      return FaultDecision::kDeliver;
   }
-  threshold += plan_.duplicate;
-  if (u < threshold) {
-    ++state.counts.duplicates;
-    return FaultDecision::kDuplicate;
-  }
-  threshold += plan_.corrupt;
-  if (u < threshold) {
-    ++state.counts.corruptions;
-    CAPSP_LOG(kDebug, "machine.fault.corrupt", {"src", src});
-    return FaultDecision::kCorrupt;
-  }
-  threshold += plan_.delay;
-  if (u < threshold) {
-    ++state.counts.delays;
-    return FaultDecision::kDelay;
-  }
-  return FaultDecision::kDeliver;
 }
 
 void FaultInjector::corrupt_payload(RankId src, std::vector<Dist>& payload) {
-  auto& state = ranks_[static_cast<std::size_t>(src)];
-  if (payload.empty()) return;
-  const auto index =
-      static_cast<std::size_t>(state.rng.uniform(payload.size()));
-  // Flip one of the low 52 bits (the mantissa), so a finite value stays
-  // finite but differs — and an infinite one becomes a NaN the checksum
-  // (or, in raw mode, the victim) gets to meet.
-  const auto bit = static_cast<int>(state.rng.uniform(52));
-  auto bits = std::bit_cast<std::uint64_t>(payload[index]);
-  bits ^= std::uint64_t{1} << bit;
-  payload[index] = std::bit_cast<Dist>(bits);
+  // A corrupted infinity becomes a NaN the checksum (or, in raw mode, the
+  // victim) gets to meet.
+  faultplan::flip_mantissa_bit(payload,
+                               ranks_[static_cast<std::size_t>(src)].rng);
 }
 
 std::vector<RankId> FaultInjector::dead_ranks() const {

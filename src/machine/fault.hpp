@@ -71,7 +71,8 @@ struct FaultPlan {
   /// kill=R@K (rank R dies at its K-th operation),
   /// stall=R@K:S (rank R sleeps S seconds at its K-th operation).
   /// CHECK-fails on unknown keys, malformed values, or probability
-  /// sums > 1.
+  /// sums > 1.  The grammar is shared with ServeFaultPlan
+  /// (util/faultplan).
   static FaultPlan parse(const std::string& spec);
 
   /// Round-trips through parse().

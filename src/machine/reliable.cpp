@@ -1,9 +1,9 @@
 #include "machine/reliable.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 
+#include "util/backoff.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -73,8 +73,6 @@ void ReliableComm::send(RawLink& link, RankId dst, Tag tag,
                         std::span<const Dist> payload) {
   const std::int64_t seq = send_seq_[{dst, tag}]++;
   const std::vector<Dist> frame = encode_frame(seq, payload);
-  double backoff = options_.backoff_latency;
-  const double backoff_cap = 64 * options_.backoff_latency;
   for (int attempt = 0;; ++attempt) {
     ++stats_.frames_sent;
     if (attempt > 0) {
@@ -98,8 +96,9 @@ void ReliableComm::send(RawLink& link, RankId dst, Tag tag,
                                  << " transmissions — unsurvivable fault "
                                     "plan?");
     }
-    link.charge(backoff, 0, "backoff");
-    backoff = std::min(2 * backoff, backoff_cap);
+    link.charge(capped_doubling(options_.backoff_latency, attempt,
+                                64 * options_.backoff_latency),
+                0, "backoff");
   }
 }
 

@@ -4,16 +4,10 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 
 #include "util/check.hpp"
 
 namespace capsp {
-namespace {
-
-constexpr char kMagic[8] = {'C', 'A', 'P', 'S', 'P', 'D', 'B', '1'};
-
-}  // namespace
 
 void read_exact_bytes(std::istream& is, void* dst, std::streamsize bytes,
                       const char* what) {
@@ -57,54 +51,6 @@ void pread_exact(int fd, void* dst, std::int64_t bytes, std::int64_t offset,
     if (stats != nullptr && n < bytes - done) ++stats->short_reads;
     done += n;
   }
-}
-
-void write_block(std::ostream& os, const DistBlock& block) {
-  os.write(kMagic, sizeof(kMagic));
-  const std::int64_t rows = block.rows(), cols = block.cols();
-  os.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-  os.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
-  if (block.size() > 0)
-    os.write(reinterpret_cast<const char*>(block.data().data()),
-             static_cast<std::streamsize>(block.data().size() *
-                                          sizeof(Dist)));
-  CAPSP_CHECK_MSG(os.good(), "block write failed");
-}
-
-DistBlock read_block(std::istream& is) {
-  char magic[8] = {};
-  read_exact_bytes(is, magic, sizeof(magic), "distance-block magic");
-  CAPSP_CHECK_MSG(std::memcmp(magic, kMagic, sizeof(kMagic)) == 0,
-                  "not a capsp distance-block file (bad magic)");
-  std::int64_t rows = 0, cols = 0;
-  read_exact_bytes(is, &rows, sizeof(rows), "distance-block header");
-  read_exact_bytes(is, &cols, sizeof(cols), "distance-block header");
-  CAPSP_CHECK_MSG(rows >= 0 && cols >= 0 && rows < (std::int64_t{1} << 32) &&
-                      cols < (std::int64_t{1} << 32),
-                  "block header corrupt: " << rows << "x" << cols);
-  DistBlock block(rows, cols);
-  if (block.size() > 0) {
-    read_exact_bytes(is, block.data().data(),
-                     static_cast<std::streamsize>(block.data().size() *
-                                                  sizeof(Dist)),
-                     "distance-block payload");
-  }
-  // Must be exactly at EOF for a well-formed file.
-  is.peek();
-  CAPSP_CHECK_MSG(is.eof(), "trailing bytes after block payload");
-  return block;
-}
-
-void save_block(const std::string& path, const DistBlock& block) {
-  std::ofstream os(path, std::ios::binary);
-  CAPSP_CHECK_MSG(os.good(), "cannot open " << path << " for writing");
-  write_block(os, block);
-}
-
-DistBlock load_block(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  CAPSP_CHECK_MSG(is.good(), "cannot open " << path);
-  return read_block(is);
 }
 
 }  // namespace capsp

@@ -1,25 +1,18 @@
-// Binary persistence for DistBlock — lets tools cache an expensive APSP
-// result and answer queries later without recomputing.
-//
-// Format: 8-byte magic "CAPSPDB1", int64 rows, int64 cols, then
-// rows*cols IEEE-754 doubles in row-major order (native endianness;
-// this is a cache format, not an interchange format).
+// Exact-size binary reads shared by the on-disk formats: the CAPSPDB2
+// distance snapshot (serve/snapshot) and the CAPSPAX1 landmark sketch
+// (approx/sketch_io).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <ios>
 #include <iosfwd>
-#include <string>
-
-#include "semiring/block.hpp"
 
 namespace capsp {
 
 /// Read exactly `bytes` into `dst`, CHECK-failing with the byte counts and
 /// `what` on a short read — so a truncated or garbage file reports what was
-/// missing instead of a bare stream failure.  Shared by the CAPSPDB1
-/// reader here and the CAPSPDB2 snapshot reader (serve/snapshot).
+/// missing instead of a bare stream failure.
 void read_exact_bytes(std::istream& is, void* dst, std::streamsize bytes,
                       const char* what);
 
@@ -47,11 +40,5 @@ struct PreadStats {
 void pread_exact(int fd, void* dst, std::int64_t bytes, std::int64_t offset,
                  const char* what, const PreadFn& pread_fn = {},
                  PreadStats* stats = nullptr);
-
-void write_block(std::ostream& os, const DistBlock& block);
-DistBlock read_block(std::istream& is);
-
-void save_block(const std::string& path, const DistBlock& block);
-DistBlock load_block(const std::string& path);
 
 }  // namespace capsp

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/backoff.hpp"
 #include "util/log.hpp"
 
 namespace capsp {
@@ -9,10 +10,8 @@ namespace capsp {
 double retry_backoff_ms(const RetryOptions& options, int retry_index,
                         Rng& rng) {
   CAPSP_CHECK_MSG(retry_index >= 0, "retry_index " << retry_index);
-  double backoff = options.backoff_base_ms;
-  for (int i = 0; i < retry_index && backoff < options.backoff_max_ms; ++i)
-    backoff *= 2;
-  backoff = std::min(backoff, options.backoff_max_ms);
+  double backoff = capped_doubling(options.backoff_base_ms, retry_index,
+                                   options.backoff_max_ms);
   const double jitter = std::clamp(options.jitter, 0.0, 1.0);
   if (jitter > 0) backoff *= rng.uniform_real(1.0 - jitter, 1.0);
   return std::max(backoff, 0.0);

@@ -10,9 +10,8 @@
 //     checksum mismatch, allocation failure).  Derives from check_error so
 //     existing callers that treat any snapshot failure as fatal keep
 //     working, while the service can catch it narrowly and retry.
-//   * RetryOptions / retry_backoff_ms — bounded exponential backoff with
-//     jitter, the same shape as ReliableOptions' doubling backoff but
-//     tuned in milliseconds for disk latencies.
+//   * RetryOptions / retry_backoff_ms — bounded exponential backoff
+//     (util/backoff) with jitter, in milliseconds for disk latencies.
 //   * QuarantineRegistry — per-tile failure accounting: K consecutive
 //     failed fetches quarantine a tile so requests fail fast (degraded)
 //     instead of each burning a full retry ladder on a known-bad sector;

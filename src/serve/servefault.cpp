@@ -1,55 +1,15 @@
 #include "serve/servefault.hpp"
 
-#include <bit>
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/faultplan.hpp"
 #include "util/log.hpp"
 
 namespace capsp {
 namespace {
 
-double parse_probability(const std::string& key, const std::string& value) {
-  std::size_t used = 0;
-  double p = 0;
-  try {
-    p = std::stod(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  CAPSP_CHECK_MSG(used == value.size() && p >= 0 && p <= 1,
-                  "serve fault plan: " << key << "=" << value
-                                       << " is not a probability in [0, 1]");
-  return p;
-}
-
-std::int64_t parse_int(const std::string& key, const std::string& value) {
-  std::size_t used = 0;
-  std::int64_t v = 0;
-  try {
-    v = std::stoll(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  CAPSP_CHECK_MSG(used == value.size() && v >= 0,
-                  "serve fault plan: " << key << "=" << value
-                                       << " is not a non-negative integer");
-  return v;
-}
-
-double parse_positive(const std::string& key, const std::string& value) {
-  std::size_t used = 0;
-  double v = 0;
-  try {
-    v = std::stod(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  CAPSP_CHECK_MSG(used == value.size() && v > 0,
-                  "serve fault plan: " << key << "=" << value
-                                       << " must be a positive number");
-  return v;
-}
+constexpr faultplan::Grammar kGrammar{"serve fault plan"};
 
 /// "T:K" -> tile T's first K read attempts fail.
 void parse_bad_tile(ServeFaultPlan& plan, const std::string& key,
@@ -58,8 +18,8 @@ void parse_bad_tile(ServeFaultPlan& plan, const std::string& key,
   CAPSP_CHECK_MSG(colon != std::string::npos,
                   "serve fault plan: " << key << "=" << value
                                        << " must be tile:failures");
-  plan.bad_tile = parse_int(key, value.substr(0, colon));
-  plan.bad_tile_fails = parse_int(key, value.substr(colon + 1));
+  plan.bad_tile = kGrammar.count(key, value.substr(0, colon));
+  plan.bad_tile_fails = kGrammar.count(key, value.substr(colon + 1));
   CAPSP_CHECK_MSG(plan.bad_tile_fails > 0,
                   "serve fault plan: " << key << "=" << value
                                        << " needs failures >= 1");
@@ -68,51 +28,36 @@ void parse_bad_tile(ServeFaultPlan& plan, const std::string& key,
 /// "W@J:S" -> worker W sleeps S seconds at its J-th job.
 void parse_stuck(ServeFaultPlan& plan, const std::string& key,
                  const std::string& value) {
-  const auto at = value.find('@');
-  const auto colon = value.find(':', at == std::string::npos ? 0 : at);
-  CAPSP_CHECK_MSG(at != std::string::npos && colon != std::string::npos,
-                  "serve fault plan: " << key << "=" << value
-                                       << " must be worker@job:seconds");
-  const int worker =
-      static_cast<int>(parse_int(key, value.substr(0, at)));
-  WorkerStick stick;
-  stick.job_index = parse_int(key, value.substr(at + 1, colon - at - 1));
-  stick.seconds = parse_positive(key, value.substr(colon + 1));
+  const faultplan::IndexedFault parsed =
+      kGrammar.indexed(key, value, "worker@job", /*with_seconds=*/true);
+  const int worker = parsed.who;
   CAPSP_CHECK_MSG(plan.stuck.count(worker) == 0,
                   "serve fault plan: duplicate stuck for worker " << worker);
-  plan.stuck[worker] = stick;
+  plan.stuck[worker] = WorkerStick{parsed.index, parsed.seconds};
 }
 
 }  // namespace
 
 ServeFaultPlan ServeFaultPlan::parse(const std::string& spec) {
   ServeFaultPlan plan;
-  std::stringstream stream(spec);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (item.empty()) continue;
-    const auto eq = item.find('=');
-    CAPSP_CHECK_MSG(eq != std::string::npos,
-                    "serve fault plan: expected key=value, got '" << item
-                                                                  << "'");
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
+  kGrammar.for_each_item(spec, [&plan](const std::string& key,
+                                       const std::string& value) {
     if (key == "seed") {
-      plan.seed = static_cast<std::uint64_t>(parse_int(key, value));
+      plan.seed = static_cast<std::uint64_t>(kGrammar.count(key, value));
     } else if (key == "read_error") {
-      plan.read_error = parse_probability(key, value);
+      plan.read_error = kGrammar.probability(key, value);
     } else if (key == "eintr") {
-      plan.eintr = parse_probability(key, value);
+      plan.eintr = kGrammar.probability(key, value);
     } else if (key == "short") {
-      plan.short_read = parse_probability(key, value);
+      plan.short_read = kGrammar.probability(key, value);
     } else if (key == "flip") {
-      plan.flip = parse_probability(key, value);
+      plan.flip = kGrammar.probability(key, value);
     } else if (key == "delay") {
-      plan.delay = parse_probability(key, value);
+      plan.delay = kGrammar.probability(key, value);
     } else if (key == "delay_ms") {
-      plan.delay_ms = parse_positive(key, value);
+      plan.delay_ms = kGrammar.positive(key, value);
     } else if (key == "alloc") {
-      plan.alloc = parse_probability(key, value);
+      plan.alloc = kGrammar.probability(key, value);
     } else if (key == "bad_tile") {
       parse_bad_tile(plan, key, value);
     } else if (key == "stuck") {
@@ -123,7 +68,7 @@ ServeFaultPlan ServeFaultPlan::parse(const std::string& spec) {
                                  << "' (seed|read_error|eintr|short|flip|"
                                     "delay|delay_ms|alloc|bad_tile|stuck)");
     }
-  }
+  });
   const double sum = plan.read_error + plan.eintr + plan.short_read +
                      plan.flip + plan.delay;
   CAPSP_CHECK_MSG(sum <= 1.0,
@@ -192,33 +137,27 @@ ServeFaultInjector::ReadFault ServeFaultInjector::next_read_fault(
       0)
     return ReadFault::kNone;
   Rng rng = decision_rng(tile_id, attempt, /*salt=*/0x726561640ull);
-  const double u = rng.uniform_real();
-  double threshold = plan_.read_error;
-  if (u < threshold) {
-    eio_.fetch_add(1, std::memory_order_relaxed);
-    return injected("eio", ReadFault::kEio);
+  switch (faultplan::pick(rng.uniform_real(),
+                          {plan_.read_error, plan_.eintr, plan_.short_read,
+                           plan_.flip, plan_.delay})) {
+    case 0:
+      eio_.fetch_add(1, std::memory_order_relaxed);
+      return injected("eio", ReadFault::kEio);
+    case 1:
+      eintr_.fetch_add(1, std::memory_order_relaxed);
+      return injected("eintr", ReadFault::kEintr);
+    case 2:
+      short_reads_.fetch_add(1, std::memory_order_relaxed);
+      return injected("short_read", ReadFault::kShort);
+    case 3:
+      flips_.fetch_add(1, std::memory_order_relaxed);
+      return injected("flip", ReadFault::kFlip);
+    case 4:
+      delays_.fetch_add(1, std::memory_order_relaxed);
+      return injected("delay", ReadFault::kDelay);
+    default:
+      return ReadFault::kNone;
   }
-  threshold += plan_.eintr;
-  if (u < threshold) {
-    eintr_.fetch_add(1, std::memory_order_relaxed);
-    return injected("eintr", ReadFault::kEintr);
-  }
-  threshold += plan_.short_read;
-  if (u < threshold) {
-    short_reads_.fetch_add(1, std::memory_order_relaxed);
-    return injected("short_read", ReadFault::kShort);
-  }
-  threshold += plan_.flip;
-  if (u < threshold) {
-    flips_.fetch_add(1, std::memory_order_relaxed);
-    return injected("flip", ReadFault::kFlip);
-  }
-  threshold += plan_.delay;
-  if (u < threshold) {
-    delays_.fetch_add(1, std::memory_order_relaxed);
-    return injected("delay", ReadFault::kDelay);
-  }
-  return ReadFault::kNone;
 }
 
 bool ServeFaultInjector::next_alloc_fails(std::int64_t tile_id) {
@@ -241,15 +180,9 @@ void ServeFaultInjector::flip_payload(std::int64_t tile_id,
   if (payload.empty()) return;
   // Keyed off the tile alone so the flipped bit is stable for a given
   // plan; which *attempt* flips was already decided by next_read_fault.
+  // The FNV checksum catches the flip either way.
   Rng rng = decision_rng(tile_id, /*attempt=*/0, /*salt=*/0x666c6970ull);
-  const auto index =
-      static_cast<std::size_t>(rng.uniform(payload.size()));
-  // Low 52 bits only (the mantissa): finite stays finite, the FNV
-  // checksum catches it either way.
-  const auto bit = static_cast<int>(rng.uniform(52));
-  auto bits = std::bit_cast<std::uint64_t>(payload[index]);
-  bits ^= std::uint64_t{1} << bit;
-  payload[index] = std::bit_cast<Dist>(bits);
+  faultplan::flip_mantissa_bit(payload, rng);
 }
 
 double ServeFaultInjector::stick_seconds(int worker_index,

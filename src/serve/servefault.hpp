@@ -78,7 +78,8 @@ struct ServeFaultPlan {
   /// (probabilities); delay_ms=M; bad_tile=T:K (tile T's first K read
   /// attempts fail); stuck=W@J:S (worker W sleeps S seconds at its J-th
   /// job).  CHECK-fails on unknown keys, malformed values, or read
-  /// probabilities summing > 1.
+  /// probabilities summing > 1.  The grammar is shared with FaultPlan
+  /// (util/faultplan).
   static ServeFaultPlan parse(const std::string& spec);
 
   /// Round-trips through parse().

@@ -22,8 +22,7 @@
 namespace capsp {
 namespace {
 
-constexpr char kMagicV2[8] = {'C', 'A', 'P', 'S', 'P', 'D', 'B', '2'};
-constexpr char kMagicV1[8] = {'C', 'A', 'P', 'S', 'P', 'D', 'B', '1'};
+constexpr char kMagic[8] = {'C', 'A', 'P', 'S', 'P', 'D', 'B', '2'};
 
 constexpr std::int64_t kHeaderBytes =
     8 + 3 * static_cast<std::int64_t>(sizeof(std::int64_t));
@@ -66,7 +65,7 @@ SnapshotWriter::SnapshotWriter(const std::string& path, std::int64_t rows,
   file_.open(path, std::ios::binary | std::ios::in | std::ios::out |
                        std::ios::trunc);
   CAPSP_CHECK_MSG(file_.good(), "cannot open " << path << " for writing");
-  file_.write(kMagicV2, sizeof(kMagicV2));
+  file_.write(kMagic, sizeof(kMagic));
   file_.write(reinterpret_cast<const char*>(&header_.rows),
               sizeof(header_.rows));
   file_.write(reinterpret_cast<const char*>(&header_.cols),
@@ -159,14 +158,7 @@ void write_snapshot(const std::string& path, const DistBlock& matrix,
   writer.close();
 }
 
-void upgrade_snapshot(const std::string& db1_path,
-                      const std::string& db2_path, std::int64_t tile_dim) {
-  write_snapshot(db2_path, load_block(db1_path), tile_dim);
-}
-
-SnapshotReader::SnapshotReader(const std::string& path,
-                               std::int64_t legacy_tile_dim)
-    : path_(path) {
+SnapshotReader::SnapshotReader(const std::string& path) : path_(path) {
   std::ifstream is(path, std::ios::binary);
   CAPSP_CHECK_MSG(is.good(), "cannot open " << path);
   is.seekg(0, std::ios::end);
@@ -174,14 +166,7 @@ SnapshotReader::SnapshotReader(const std::string& path,
   is.seekg(0);
   char magic[8] = {};
   read_exact_bytes(is, magic, sizeof(magic), "snapshot magic");
-  if (std::memcmp(magic, kMagicV1, sizeof(magic)) == 0) {
-    // Legacy monolithic cache: load it whole and tile it virtually.
-    matrix_ = load_block(path);
-    header_ = {matrix_.rows(), matrix_.cols(), legacy_tile_dim};
-    check_header_sane(header_, path);
-    return;
-  }
-  CAPSP_CHECK_MSG(std::memcmp(magic, kMagicV2, sizeof(magic)) == 0,
+  CAPSP_CHECK_MSG(std::memcmp(magic, kMagic, sizeof(magic)) == 0,
                   "not a capsp snapshot (bad magic) in " << path);
   read_exact_bytes(is, &header_.rows, sizeof(header_.rows), "snapshot rows");
   read_exact_bytes(is, &header_.cols, sizeof(header_.cols), "snapshot cols");
@@ -207,6 +192,16 @@ SnapshotReader::~SnapshotReader() {
 }
 
 void SnapshotReader::open_tiled(std::istream& is, std::int64_t file_size) {
+  // The index must fit in the file before it is allocated: a corrupt
+  // header can claim ~2^64 tiles, which would otherwise overflow
+  // num_tiles() or exhaust memory instead of being refused.
+  const std::int64_t max_tiles = (file_size - kHeaderBytes) / kIndexEntryBytes;
+  CAPSP_CHECK_MSG(header_.tile_cols() == 0 ||
+                      header_.tile_rows() <= max_tiles / header_.tile_cols(),
+                  "snapshot " << path_ << " header claims "
+                              << header_.tile_rows() << "x"
+                              << header_.tile_cols() << " tiles, more than "
+                              << file_size << " bytes can index");
   const std::int64_t tiles = header_.num_tiles();
   offsets_.resize(static_cast<std::size_t>(tiles));
   checksums_.resize(static_cast<std::size_t>(tiles));

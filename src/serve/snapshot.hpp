@@ -1,15 +1,14 @@
-// Tiled on-disk distance-matrix snapshots — the storage side of the
-// serving layer (docs/serving.md).
+// Tiled on-disk distance-matrix snapshots — the one distance-file format
+// and the storage side of the serving layer (docs/serving.md).
 //
-// The monolithic CAPSPDB1 cache (semiring/block_io) must be loaded whole
-// before the first query, so a matrix larger than RAM cannot be served at
-// all and a small query pays the full n² load.  CAPSPDB2 stores the same
-// matrix as fixed-size square tiles behind a seekable index, so a
-// DistanceService can fault in only the tiles a query touches and cap its
-// resident set with a tile cache:
+// CAPSPDB2 stores the n×n matrix as fixed-size square tiles behind a
+// seekable index, so a DistanceService can fault in only the tiles a
+// query touches and cap its resident set with a tile cache; a tile_dim
+// of n or more gives one monolithic tile:
 //
 //   bytes 0..7   magic "CAPSPDB2"
-//   int64        rows, cols, tile_dim          (native endianness, like DB1)
+//   int64        rows, cols, tile_dim          (native endianness; a
+//                cache format, not an interchange format)
 //   per tile     int64 offset, int64 checksum  (row-major over the
 //                ⌈rows/tile⌉ × ⌈cols/tile⌉ tile grid)
 //   payloads     row-major doubles per tile; edge tiles are clipped to the
@@ -97,17 +96,11 @@ class SnapshotWriter {
 void write_snapshot(const std::string& path, const DistBlock& matrix,
                     std::int64_t tile_dim = kDefaultTileDim);
 
-/// Upgrade a CAPSPDB1 cache file (semiring/block_io) to a CAPSPDB2
-/// snapshot, preserving every entry bit-exactly.
-void upgrade_snapshot(const std::string& db1_path, const std::string& db2_path,
-                      std::int64_t tile_dim = kDefaultTileDim);
-
 /// Read side.  Two backings behind one interface:
 ///   * file-backed — a CAPSPDB2 file, validated structurally on open and
 ///     per-tile (checksum) on every read;
-///   * in-memory — a DistBlock tiled virtually, used for CAPSPDB1 files
-///     (kept readable per the format's compatibility promise) and for
-///     serving a freshly computed matrix without touching disk.
+///   * in-memory — a DistBlock tiled virtually, for serving a freshly
+///     computed matrix without touching disk.
 /// `read_tile` is thread-safe with no shared cursor (positional pread on
 /// the file-backed path — see docs/robustness.md), so the workers of a
 /// DistanceService share one reader without serializing their IO; each
@@ -122,10 +115,8 @@ void upgrade_snapshot(const std::string& db1_path, const std::string& db2_path,
 /// treat any failure as fatal keep their old behavior.
 class SnapshotReader {
  public:
-  /// Open `path`, dispatching on the magic: CAPSPDB2 → file-backed,
-  /// CAPSPDB1 → loaded whole and tiled virtually with `legacy_tile_dim`.
-  explicit SnapshotReader(const std::string& path,
-                          std::int64_t legacy_tile_dim = kDefaultTileDim);
+  /// Open the CAPSPDB2 file `path` (file-backed).
+  explicit SnapshotReader(const std::string& path);
 
   /// Serve an in-memory matrix (no file involved).
   SnapshotReader(DistBlock matrix, std::int64_t tile_dim = kDefaultTileDim);
@@ -136,7 +127,7 @@ class SnapshotReader {
 
   const SnapshotHeader& header() const { return header_; }
   /// True when tiles are faulted in from a CAPSPDB2 file (false for the
-  /// in-memory / legacy-DB1 backings, which are fully resident anyway).
+  /// in-memory backing, which is fully resident anyway).
   bool file_backed() const { return file_backed_; }
 
   /// Install a fault injector (serve/servefault) consulted on every

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -24,6 +25,29 @@ namespace capsp {
 struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
+
+/// Parse all of `text` as a number; nullopt when it is malformed, out of
+/// range, or has trailing bytes ("64x").  Shared by the flag accessors
+/// below and the fault-plan grammar (util/faultplan).
+inline std::optional<std::int64_t> parse_int(const std::string& text) {
+  std::size_t used = 0;
+  try {
+    const std::int64_t value = std::stoll(text, &used);
+    if (used == text.size()) return value;
+  } catch (const std::logic_error&) {  // invalid_argument, out_of_range
+  }
+  return std::nullopt;
+}
+
+inline std::optional<double> parse_double(const std::string& text) {
+  std::size_t used = 0;
+  try {
+    const double value = std::stod(text, &used);
+    if (used == text.size()) return value;
+  } catch (const std::logic_error&) {
+  }
+  return std::nullopt;
+}
 
 /// Parsed command line: flag lookup with typed accessors and defaults.
 class Cli {
@@ -53,16 +77,14 @@ class Cli {
     return it == flags_.end() ? fallback : it->second;
   }
 
+  /// Numeric accessors parse the whole value; "abc", "64x" or an
+  /// out-of-range number throws UsageError naming the flag.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const {
-    mark_known(name);
-    auto it = flags_.find(name);
-    return it == flags_.end() ? fallback : std::stoll(it->second);
+    return get_number(name, fallback, parse_int, "an integer");
   }
 
   double get_double(const std::string& name, double fallback) const {
-    mark_known(name);
-    auto it = flags_.find(name);
-    return it == flags_.end() ? fallback : std::stod(it->second);
+    return get_number(name, fallback, parse_double, "a number");
   }
 
   bool get_bool(const std::string& name, bool fallback) const {
@@ -82,6 +104,20 @@ class Cli {
 
  private:
   void mark_known(const std::string& name) const { known_.insert(name); }
+
+  template <typename T>
+  T get_number(const std::string& name, T fallback,
+               std::optional<T> (*parse)(const std::string&),
+               const char* kind) const {
+    mark_known(name);
+    auto it = flags_.find(name);
+    if (it == flags_.end()) return fallback;
+    const std::optional<T> value = parse(it->second);
+    if (!value)
+      throw UsageError("--" + name + " wants " + kind + ", got '" +
+                       it->second + "'");
+    return *value;
+  }
 
   std::map<std::string, std::string> flags_;
   mutable std::set<std::string> known_;

@@ -1,10 +1,17 @@
-// Tests for the binary distance-block cache format.
+// Tests for DistBlock binary persistence: the one distance-file format
+// (CAPSPDB2, written by write_snapshot and read by SnapshotReader)
+// round-trips every entry bit-exactly and refuses malformed bytes, and
+// the read_exact_bytes primitive under it reports shortfalls.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <initializer_list>
 #include <sstream>
+#include <string>
 
 #include "semiring/block_io.hpp"
+#include "serve/snapshot.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -20,64 +27,98 @@ DistBlock random_block(std::int64_t rows, std::int64_t cols,
   return block;
 }
 
+/// Unique per test case, since ctest may run the cases in parallel.
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + "/capsp_block_io_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + name;
+}
+
+/// Write `block` as a snapshot and read every tile back into one matrix.
+DistBlock round_trip(const DistBlock& block, std::int64_t tile_dim) {
+  const std::string path = temp_path("roundtrip.snap");
+  write_snapshot(path, block, tile_dim);
+  const SnapshotReader reader(path);
+  const SnapshotHeader& h = reader.header();
+  DistBlock full(h.rows, h.cols);
+  for (std::int64_t t = 0; t < h.num_tiles(); ++t)
+    full.set_sub_block((t / h.tile_cols()) * h.tile_dim,
+                       (t % h.tile_cols()) * h.tile_dim, reader.read_tile(t));
+  std::remove(path.c_str());
+  return full;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+std::string snapshot_bytes(const DistBlock& block, std::int64_t tile_dim) {
+  const std::string path = temp_path("bytes.snap");
+  write_snapshot(path, block, tile_dim);
+  std::string bytes = file_bytes(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+/// A header-only file: the magic, then the given int64 fields.
+std::string header_bytes(std::initializer_list<std::int64_t> fields) {
+  std::string bytes = "CAPSPDB2";
+  for (const std::int64_t field : fields)
+    bytes.append(reinterpret_cast<const char*>(&field), sizeof(field));
+  return bytes;
+}
+
+void expect_rejected(const std::string& bytes) {
+  const std::string path = temp_path("rejected.snap");
+  std::ofstream(path, std::ios::binary) << bytes;
+  EXPECT_THROW(SnapshotReader reader(path), check_error);
+  std::remove(path.c_str());
+}
+
 TEST(BlockIo, StreamRoundTrip) {
+  // tile_dim >= rows and cols: one monolithic tile.
   const DistBlock block = random_block(9, 13, 1);
-  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-  write_block(stream, block);
-  EXPECT_EQ(read_block(stream), block);
+  EXPECT_EQ(round_trip(block, 16), block);
 }
 
 TEST(BlockIo, RoundTripPreservesInfinities) {
   DistBlock block(3, 3);
   block.zero_diagonal();
-  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-  write_block(stream, block);
-  const DistBlock loaded = read_block(stream);
+  block.at(2, 0) = -kInf;
+  const DistBlock loaded = round_trip(block, 2);
   EXPECT_TRUE(is_inf(loaded.at(0, 1)));
+  EXPECT_EQ(loaded.at(2, 0), -kInf);
   EXPECT_EQ(loaded.at(1, 1), 0);
 }
 
 TEST(BlockIo, EmptyBlockRoundTrip) {
-  const DistBlock block(0, 7);
-  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-  write_block(stream, block);
-  const DistBlock loaded = read_block(stream);
+  const DistBlock loaded = round_trip(DistBlock(0, 7), 4);
   EXPECT_EQ(loaded.rows(), 0);
   EXPECT_EQ(loaded.cols(), 7);
 }
 
 TEST(BlockIo, FileRoundTrip) {
   const DistBlock block = random_block(20, 20, 2);
-  const std::string path = ::testing::TempDir() + "/capsp_block_io.dist";
-  save_block(path, block);
-  EXPECT_EQ(load_block(path), block);
-  std::remove(path.c_str());
+  EXPECT_EQ(round_trip(block, 6), block);
 }
 
 TEST(BlockIo, ZeroByZeroRoundTrip) {
-  const DistBlock block(0, 0);
-  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-  write_block(stream, block);
-  // magic + rows + cols, no payload
-  EXPECT_EQ(stream.str().size(), 8u + 2 * sizeof(std::int64_t));
-  const DistBlock loaded = read_block(stream);
+  // magic + rows + cols + tile_dim, no index and no payload
+  EXPECT_EQ(snapshot_bytes(DistBlock(0, 0), 4).size(),
+            8u + 3 * sizeof(std::int64_t));
+  const DistBlock loaded = round_trip(DistBlock(0, 0), 4);
   EXPECT_EQ(loaded.rows(), 0);
   EXPECT_EQ(loaded.cols(), 0);
 }
 
 TEST(BlockIo, TruncatedMagicRejected) {
-  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-  stream.write("CAPS", 4);  // EOF mid-magic
-  EXPECT_THROW(read_block(stream), check_error);
+  expect_rejected("CAPS");  // EOF mid-magic
 }
 
 TEST(BlockIo, TruncatedHeaderRejected) {
-  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-  stream.write("CAPSPDB1", 8);
-  const std::int64_t rows = 3;
-  stream.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-  // cols missing entirely
-  EXPECT_THROW(read_block(stream), check_error);
+  expect_rejected(header_bytes({3}));  // cols and tile_dim missing
 }
 
 TEST(BlockIo, ReadExactBytesReportsShortfall) {
@@ -94,37 +135,31 @@ TEST(BlockIo, ReadExactBytesReportsShortfall) {
 }
 
 TEST(BlockIo, BadMagicRejected) {
-  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-  stream.write("NOTCAPSP", 8);
-  EXPECT_THROW(read_block(stream), check_error);
+  expect_rejected("NOTCAPSP" + header_bytes({0, 0, 4}).substr(8));
+  // The retired monolithic format's version byte is refused too.
+  std::string bytes = snapshot_bytes(random_block(4, 4, 3), 4);
+  bytes[7] = '1';
+  expect_rejected(bytes);
 }
 
 TEST(BlockIo, TruncatedPayloadRejected) {
-  const DistBlock block = random_block(6, 6, 3);
-  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-  write_block(stream, block);
-  std::string bytes = stream.str();
-  bytes.resize(bytes.size() - 16);  // chop two doubles
-  std::stringstream truncated(bytes,
-                              std::ios::in | std::ios::binary);
-  EXPECT_THROW(read_block(truncated), check_error);
+  std::string bytes = snapshot_bytes(random_block(6, 6, 3), 4);
+  bytes.pop_back();  // mid-double
+  expect_rejected(bytes);
 }
 
 TEST(BlockIo, TrailingGarbageRejected) {
-  const DistBlock block = random_block(2, 2, 4);
-  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-  write_block(stream, block);
-  stream.write("junk", 4);
-  EXPECT_THROW(read_block(stream), check_error);
+  expect_rejected(snapshot_bytes(random_block(2, 2, 4), 2) + "junk");
 }
 
 TEST(BlockIo, AbsurdDimensionsRejected) {
-  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-  stream.write("CAPSPDB1", 8);
-  const std::int64_t rows = std::int64_t{1} << 40, cols = 2;
-  stream.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-  stream.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
-  EXPECT_THROW(read_block(stream), check_error);
+  expect_rejected(header_bytes({std::int64_t{1} << 40, 2, 4}));
+  expect_rejected(header_bytes({-1, 2, 4}));
+  expect_rejected(header_bytes({4, 4, 0}));   // tile_dim must be >= 1
+  expect_rejected(header_bytes({4, 4, -8}));
+  // In range, but an index of 2^62 tiles cannot fit in the file.
+  expect_rejected(header_bytes({std::int64_t{1} << 31,
+                                std::int64_t{1} << 31, 1}));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the tiled CAPSPDB2 snapshot format (serve/snapshot):
-// round-trip fidelity (including the CAPSPDB1 upgrade path), writer
-// geometry CHECKs, and reader rejection of truncated/corrupt files.
+// round-trip fidelity, writer geometry CHECKs, and reader rejection of
+// truncated/corrupt files (test_block_io covers the byte-level cases).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "semiring/block_io.hpp"
 #include "serve/snapshot.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -51,7 +50,8 @@ TEST(SnapshotHeader, TileGeometry) {
 }
 
 TEST(Snapshot, RoundTripBitExact) {
-  const DistBlock matrix = random_matrix(21, 21, 7);
+  DistBlock matrix = random_matrix(21, 21, 7);
+  matrix.at(3, 5) = -kInf;  // random_matrix already holds +inf entries
   const std::string path = temp_path("roundtrip.snap");
   write_snapshot(path, matrix, 8);
   const SnapshotReader reader(path);
@@ -61,13 +61,12 @@ TEST(Snapshot, RoundTripBitExact) {
   std::remove(path.c_str());
 }
 
-// The satellite fuzz requirement: CAPSPDB1 -> upgrade -> CAPSPDB2 ->
-// tiles preserves every entry bit-exactly, over random dims (including
-// degenerate ones) and tile dims (1, non-divisor, divisor, oversize).
-TEST(Snapshot, FuzzUpgradePreservesEveryEntry) {
+// write_snapshot -> tiles preserves every entry bit-exactly, over random
+// dims (including degenerate ones) and tile dims (1, non-divisor,
+// divisor, oversize).
+TEST(Snapshot, FuzzRoundTripPreservesEveryEntry) {
   Rng rng(99);
-  const std::string db1 = temp_path("fuzz.db1");
-  const std::string db2 = temp_path("fuzz.snap");
+  const std::string path = temp_path("fuzz.snap");
   for (int round = 0; round < 40; ++round) {
     std::int64_t rows = 0, cols = 0;
     switch (round) {
@@ -83,27 +82,14 @@ TEST(Snapshot, FuzzUpgradePreservesEveryEntry) {
         tile_choices[rng.uniform(4)];
     const DistBlock matrix =
         random_matrix(rows, cols, 1000 + static_cast<std::uint64_t>(round));
-    save_block(db1, matrix);
-    upgrade_snapshot(db1, db2, tile);
-    const SnapshotReader reader(db2);
+    write_snapshot(path, matrix, tile);
+    const SnapshotReader reader(path);
     ASSERT_EQ(reader.header().rows, rows);
     ASSERT_EQ(reader.header().cols, cols);
     ASSERT_EQ(reassemble(reader), matrix)
         << "round " << round << ": " << rows << "x" << cols << " tile "
         << tile;
   }
-  std::remove(db1.c_str());
-  std::remove(db2.c_str());
-}
-
-TEST(Snapshot, LegacyDb1OpensDirectly) {
-  const DistBlock matrix = random_matrix(9, 9, 3);
-  const std::string path = temp_path("legacy.db1");
-  save_block(path, matrix);
-  const SnapshotReader reader(path, /*legacy_tile_dim=*/4);
-  EXPECT_FALSE(reader.file_backed());
-  EXPECT_EQ(reader.header().tile_dim, 4);
-  EXPECT_EQ(reassemble(reader), matrix);
   std::remove(path.c_str());
 }
 

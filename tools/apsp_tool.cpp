@@ -9,10 +9,10 @@
 //       run a chosen algorithm on a graph file
 //   apsp_tool --mode partition --file g.txt --height 3
 //       run nested dissection, print the supernode/separator profile
-//   apsp_tool --mode solve --file g.txt --save-distances g.dist --verify
-//       solve once, certify the result, cache the matrix
-//   apsp_tool --mode query --file g.txt --distances g.dist --from 0 --to 17
-//       print the shortest path between two vertices (cached matrix)
+//   apsp_tool --mode solve --file g.txt --save-snapshot g.snap --verify
+//       solve once, certify the result, save the matrix
+//   apsp_tool --mode query --file g.txt --distances g.snap --from 0 --to 17
+//       print the shortest path between two vertices (saved matrix)
 //   apsp_tool --mode gen --graph rmat --n 512 --out g.txt
 //       write a generated instance to a file
 //   apsp_tool --mode solve --graph grid --n 256 --trace t.json
@@ -72,10 +72,9 @@ void print_help() {
       "  --height <h>             eTree height, p = (2^h-1)^2 ranks; 0 = auto\n"
       "  --q <q>                  grid side for --algorithm dc (p = q^2)\n"
       "  --verify                 certify distances with the O(n·m) check\n"
-      "  --save-distances <path>  cache the distance matrix\n"
-      "  --save-snapshot <path>   tiled CAPSPDB2 snapshot for the serving\n"
-      "                           layer (--tile sets the tile dimension;\n"
-      "                           see docs/serving.md)\n"
+      "  --save-snapshot <path>   save the distance matrix as a tiled\n"
+      "                           CAPSPDB2 snapshot (--tile sets the tile\n"
+      "                           dimension; see docs/serving.md)\n"
       "  --trace <path>           event trace JSON (sparse|bottleneck)\n"
       "  --report-json <path>     CostReport JSON, incl. the cost-oracle\n"
       "                           predicted-vs-measured ratios\n"
@@ -103,9 +102,9 @@ void print_help() {
       "--mode query:      --from <v> --to <v> [--distances <path>]\n"
       "                   --pairs <file>: answer every 'u v' line of the\n"
       "                   file in one process through a DistanceService\n"
-      "                   (--distances accepts CAPSPDB1 caches and\n"
-      "                   CAPSPDB2 snapshots alike; without it the graph\n"
-      "                   is solved once and served from memory)\n"
+      "                   (--distances takes a --save-snapshot file;\n"
+      "                   without it the graph is solved once and\n"
+      "                   served from memory)\n"
       "--mode gen:        --out <path>\n"
       "\n"
       "profiling (any mode; see docs/profiling.md):\n"
@@ -131,7 +130,8 @@ void print_help() {
       "  0  success\n"
       "  1  error (bad input, failed invariant CHECK, failed --verify)\n"
       "  2  usage error (unknown --mode, contradictory or incomplete\n"
-      "     flags — e.g. --mode gen without --out)\n"
+      "     flags — e.g. --mode gen without --out — or a malformed\n"
+      "     numeric flag or --fault-plan)\n"
       "  3  deadlock: the watchdog aborted the run (structured report on\n"
       "     stderr; --report-json receives the DeadlockReport JSON)\n";
 }
@@ -409,7 +409,13 @@ int mode_partition(const Cli& cli, Rng& rng) {
 /// --recv-timeout <seconds>.
 void apply_robustness_flags(const Cli& cli, SparseApspOptions& options) {
   const std::string plan = cli.get_string("fault-plan", "");
-  if (!plan.empty()) options.fault_plan = FaultPlan::parse(plan);
+  if (!plan.empty()) {
+    try {
+      options.fault_plan = FaultPlan::parse(plan);
+    } catch (const check_error& e) {
+      throw UsageError(std::string("--fault-plan: ") + e.what());
+    }
+  }
   options.reliable = cli.get_bool("reliable", false);
   options.recv_timeout = cli.get_double("recv-timeout", 0);
 }
@@ -597,11 +603,6 @@ int mode_solve(const Cli& cli, Rng& rng) {
     throw UsageError("unknown --algorithm '" + algorithm +
                      "' (sparse|dc|superfw|dijkstra|bottleneck)");
   }
-  const std::string save_path = cli.get_string("save-distances", "");
-  if (!save_path.empty()) {
-    save_block(save_path, distances);
-    std::cout << "saved distance matrix to " << save_path << "\n";
-  }
   const std::string snapshot_path = cli.get_string("save-snapshot", "");
   if (!snapshot_path.empty()) {
     const auto tile = cli.get_int("tile", kDefaultTileDim);
@@ -643,9 +644,7 @@ void print_query(DistanceService& service, Vertex u, Vertex v) {
 
 int mode_query(const Cli& cli, Rng& rng) {
   const Graph graph = build_graph(cli, rng);
-  // A cached matrix (solve --save-distances, CAPSPDB1) or tiled snapshot
-  // (solve --save-snapshot / serve_tool --mode upgrade, CAPSPDB2) skips
-  // the recompute; SnapshotReader dispatches on the magic.
+  // A saved snapshot (solve --save-snapshot) skips the recompute.
   const std::string cached = cli.get_string("distances", "");
   std::shared_ptr<SnapshotReader> reader;
   if (!cached.empty()) {
