@@ -2,8 +2,9 @@
 // 2D-DC-APSP on the same graph.
 //
 // This example uses the *advanced* (SPMD) API — it builds the machine by
-// hand, enables traffic recording, and drives sparse_apsp_rank /
-// dc_apsp_rank directly — and then renders the p×p communication matrix.
+// hand, enables the comm ledger, and drives sparse_apsp_rank /
+// dc_apsp_rank directly — and then renders the ledger's p×p word heatmap
+// (raw transport, so every frame's words are payload words).
 // The sparse algorithm's heatmap shows the eTree structure: leaf rows
 // talk only along their root paths, separator rows fan out, and most
 // rank pairs never exchange a word (the communication the algorithm
@@ -34,21 +35,21 @@ char shade(std::int64_t words, std::int64_t peak) {
   return kRamp[idx];
 }
 
-void print_heatmap(const TrafficMatrix& traffic, const std::string& title) {
-  const int p = traffic.num_ranks;
+void print_heatmap(const CommLedger& ledger, const std::string& title) {
+  const int p = ledger.num_ranks;
+  const std::vector<std::int64_t> words = ledger.heat_words();
   std::int64_t peak = 1, total = 0, used_pairs = 0;
-  for (RankId s = 0; s < p; ++s)
-    for (RankId d = 0; d < p; ++d) {
-      peak = std::max(peak, traffic.words_between(s, d));
-      total += traffic.words_between(s, d);
-      used_pairs += traffic.words_between(s, d) > 0;
-    }
+  for (const std::int64_t w : words) {
+    peak = std::max(peak, w);
+    total += w;
+    used_pairs += w > 0;
+  }
   std::cout << "\n" << title << "  (" << used_pairs << "/" << p * p
             << " rank pairs used, " << total << " words total)\n";
   for (RankId s = 0; s < p; ++s) {
     std::cout << "  ";
     for (RankId d = 0; d < p; ++d)
-      std::cout << shade(traffic.words_between(s, d), peak);
+      std::cout << shade(words[static_cast<std::size_t>(s * p + d)], peak);
     std::cout << '\n';
   }
 }
@@ -73,7 +74,7 @@ int main(int argc, char** argv) {
   const ApspLayout layout(nd);
   const Graph reordered = apply_dissection(graph, nd);
   Machine sparse_machine(layout.num_ranks());
-  sparse_machine.enable_traffic_recording(true);
+  sparse_machine.enable_comm_ledger(true);
   sparse_machine.run([&](Comm& comm) {
     const auto [i, j] = layout.block_of(comm.rank());
     DistBlock local = adjacency_block(
@@ -81,7 +82,7 @@ int main(int argc, char** argv) {
         layout.range_of(j).begin, layout.range_of(j).end);
     sparse_apsp_rank(comm, layout, local);
   });
-  print_heatmap(sparse_machine.traffic(),
+  print_heatmap(sparse_machine.comm_ledger(),
                 "2D-SPARSE-APSP traffic (p = " +
                     std::to_string(layout.num_ranks()) +
                     "; rank (i-1)·√p+(j-1) owns block A(i,j))");
@@ -94,7 +95,7 @@ int main(int argc, char** argv) {
   const GridLayout grid =
       GridLayout::square(all, q, graph.num_vertices());
   Machine dense_machine(q * q);
-  dense_machine.enable_traffic_recording(true);
+  dense_machine.enable_comm_ledger(true);
   dense_machine.run([&](Comm& comm) {
     const auto [gr, gc] = grid.coords_of(comm.rank());
     const IndexRect rect = grid.block_rect(gr, gc);
@@ -103,7 +104,7 @@ int main(int argc, char** argv) {
     Tag tag = 0;
     dc_apsp_rank(comm, grid, local, tag);
   });
-  print_heatmap(dense_machine.traffic(),
+  print_heatmap(dense_machine.comm_ledger(),
                 "2D-DC-APSP traffic (p = " + std::to_string(q * q) + ")");
 
   std::cout << "\nlegend: '.' = no traffic, '1'-'#' = log-scaled words.\n"

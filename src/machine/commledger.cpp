@@ -23,17 +23,6 @@ CommChannelStats& CommChannelStats::operator+=(const CommChannelStats& other) {
   return *this;
 }
 
-int CommChannelStats::size_bucket(std::int64_t words) {
-  if (words <= 1) return 0;
-  int bucket = 0;
-  std::int64_t upper = 1;
-  while (upper < words && bucket < kSizeBuckets - 1) {
-    upper <<= 1;
-    ++bucket;
-  }
-  return bucket;
-}
-
 CommChannelStats& RankCommLedger::entry(RankId dst, const char* tag_class,
                                         const std::string& phase) {
   if (cached_stats_ != nullptr && cached_dst_ == dst &&

@@ -15,21 +15,26 @@
 // Two books are kept per channel:
 //   * logical  — what the application asked for: one message of
 //     payload-words per Comm::send.  This is the volume the paper's
-//     W/S bounds speak about, and what TrafficMatrix records.
+//     W/S bounds speak about.
 //   * physical — what crossed the simulated wire: every transmitted
 //     frame including ReliableComm frame headers, retransmissions and
 //     fault-injector duplicates, plus protocol clock charges (acks,
 //     backoff) attributed to the peer the last frame went to.
 //
 // The split is what makes retries/acks attributable *distinctly* from
-// application sends: under a drop-heavy FaultPlan the logical book (and
-// TrafficMatrix) match a clean run bit-for-bit while the physical book
-// carries the overhead.  Grappa's RDMAAggregator drives aggregation
-// decisions from exactly this kind of per-destination size/occupancy
-// ledger — this subsystem is the measuring stick ROADMAP item 2's
-// aggregating comm layer will be judged against.
+// application sends: under a drop-heavy FaultPlan the logical book
+// matches a clean run bit-for-bit while the physical book carries the
+// overhead.  Grappa's RDMAAggregator drives aggregation decisions from
+// exactly this kind of per-destination size/occupancy ledger — this
+// subsystem is the measuring stick any message aggregation (ROADMAP
+// item 5) will be judged against.
+//
+// The ledger is opt-in.  The always-on per-frame book is RankCost
+// (cost_model.hpp); the run totals and `machine.comm.*` metrics are
+// built from it, not from the ledger.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -40,6 +45,7 @@
 #include <vector>
 
 #include "machine/cost_model.hpp"
+#include "util/metrics.hpp"
 
 namespace capsp {
 
@@ -70,9 +76,9 @@ struct CommChannelKey {
 /// final ledger is independent of flush interleaving (each key is only
 /// ever written by its src rank; cross-rank merges never collide).
 struct CommChannelStats {
-  // Log2 message-size histogram over *physical* frame sizes, matching
-  // the util/metrics Histogram convention: bucket 0 holds sizes <= 1,
-  // bucket b holds (2^(b-1), 2^b].
+  // Log2 message-size histogram over *physical* frame sizes, bucketed by
+  // util/metrics' log2_bucket: bucket 0 holds sizes <= 1, bucket b holds
+  // (2^(b-1), 2^b].
   static constexpr int kSizeBuckets = 48;
 
   // Logical book: application Comm::send calls, payload words.
@@ -98,8 +104,12 @@ struct CommChannelStats {
 
   CommChannelStats& operator+=(const CommChannelStats& other);
 
-  /// Histogram bucket for a frame of `words` words.
-  static int size_bucket(std::int64_t words);
+  /// Histogram bucket for a frame of `words` words: the shared
+  /// util/metrics rule, clamped to this table.
+  static int size_bucket(std::int64_t words) {
+    return std::min(log2_bucket(static_cast<double>(words)),
+                    kSizeBuckets - 1);
+  }
 };
 
 /// One rank thread's private ledger.  Single-writer by construction

@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "util/metrics.hpp"
+
 namespace capsp {
 
 using RankId = int;
@@ -139,7 +141,10 @@ struct PhaseVolume {
   }
 };
 
-/// Per-rank cost state, owned by the Comm handle.
+/// Per-rank cost state, owned by the Comm handle.  This is the one
+/// always-on per-frame book: every transmitted frame is counted here
+/// exactly once, and the run-level views (CostReport, the
+/// `machine.comm.*` metrics) are built from it after the ranks join.
 struct RankCost {
   CostClock clock;
   std::map<std::string, PhaseVolume> volume_by_phase;
@@ -147,12 +152,15 @@ struct RankCost {
   /// so setup/data-distribution traffic never pollutes the per-phase
   /// volumes of the measured algorithm (see machine.hpp).
   std::map<std::string, PhaseVolume> pre_reset_volume_by_phase;
+  /// Log2 histogram of every frame's words, pre-reset frames included.
+  Histogram frame_words;
   std::string current_phase = "default";
 
   void count_send(std::int64_t word_count) {
     auto& v = volume_by_phase[current_phase];
     ++v.messages;
     v.words += word_count;
+    frame_words.observe(static_cast<double>(word_count));
   }
 
   /// Fold the current per-phase counts into the pre-reset segment and

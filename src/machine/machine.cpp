@@ -173,18 +173,8 @@ class CommLink final : public RawLink {
 };
 
 struct Machine::Impl {
-  Impl(int num_ranks, bool record_traffic) : mailboxes(num_ranks) {
-    if (record_traffic) {
-      const auto cells = static_cast<std::size_t>(num_ranks) *
-                         static_cast<std::size_t>(num_ranks);
-      traffic.num_ranks = num_ranks;
-      traffic.words.assign(cells, 0);
-      traffic.messages.assign(cells, 0);
-    }
-  }
+  explicit Impl(int num_ranks) : mailboxes(num_ranks) {}
   std::vector<Mailbox> mailboxes;
-  // Each rank writes only its own row, so no synchronization is needed.
-  TrafficMatrix traffic;
   /// Per-rank comm ledgers (sized only when the ledger is enabled);
   /// each rank thread writes only its own entry, lock-free.
   std::vector<RankCommLedger> rank_ledgers;
@@ -203,7 +193,7 @@ struct Machine::Impl {
 
 Machine::Machine(int num_ranks)
     : num_ranks_(num_ranks),
-      impl_(std::make_unique<Impl>(num_ranks, false)) {
+      impl_(std::make_unique<Impl>(num_ranks)) {
   CAPSP_CHECK_MSG(num_ranks >= 1 && num_ranks <= 4096,
                   "num_ranks=" << num_ranks);
 }
@@ -222,19 +212,11 @@ void Comm::send(RankId dst, Tag tag, std::span<const Dist> payload) {
   CAPSP_CHECK_MSG(dst != rank_, "self-send on rank " << rank_);
   on_op();
   const auto words = static_cast<std::int64_t>(payload.size());
-  // Logical accounting happens here, before any transport framing:
-  // TrafficMatrix and the ledger's logical book count one message of
-  // payload-words per application send, so reliable-transport headers,
-  // retransmissions and acks never inflate them (the physical book in
-  // Comm::transmit carries those).
-  auto& traffic = machine_->impl_->traffic;
-  if (traffic.num_ranks > 0) {
-    const auto cell = static_cast<std::size_t>(rank_) *
-                          static_cast<std::size_t>(traffic.num_ranks) +
-                      static_cast<std::size_t>(dst);
-    traffic.words[cell] += words;
-    ++traffic.messages[cell];
-  }
+  // Logical accounting happens here, before any transport framing: the
+  // ledger's logical book counts one message of payload-words per
+  // application send, so reliable-transport headers, retransmissions and
+  // acks never inflate it (the physical book in Comm::transmit carries
+  // those).
   if (ledger_ != nullptr)
     ledger_->record_logical(dst, tag_class_, cost_.current_phase, words);
   if (reliable_) {
@@ -266,15 +248,6 @@ bool Comm::transmit(RankId dst, Tag tag, std::span<const Dist> frame,
   cost_.clock.advance(1, static_cast<double>(words));
   if (tracing_) trace_.back().after = cost_.clock;
   cost_.count_send(words);
-  {
-    // Rank threads run under a per-rank ScopedMetricsSink, so these hit
-    // uncontended shard locks.
-    MetricsRegistry& sink = metrics();
-    sink.counter_add("machine.comm.frames");
-    sink.counter_add("machine.comm.words", words);
-    sink.observe("machine.comm.frame_words", static_cast<double>(words));
-    if (retransmit) sink.counter_add("machine.comm.retransmit_frames");
-  }
   last_peer_ = dst;
   Message message;
   message.payload.assign(frame.begin(), frame.end());
@@ -437,9 +410,8 @@ DistBlock Comm::recv_block(RankId src, Tag tag, std::int64_t rows,
 void Machine::run(const std::function<void(Comm&)>& program) {
   // Fresh mailboxes so a failed/aborted previous run cannot leak messages,
   // and cleared observability state so a failed run cannot leave a stale
-  // traffic matrix, trace, or deadlock report from the previous run.
-  impl_ = std::make_unique<Impl>(num_ranks_, record_traffic_);
-  traffic_ = TrafficMatrix{};
+  // ledger, trace, or deadlock report from the previous run.
+  impl_ = std::make_unique<Impl>(num_ranks_);
   trace_ = Trace{};
   comm_ledger_ = CommLedger{};
   deadlock_.reset();
@@ -519,9 +491,9 @@ void Machine::run(const std::function<void(Comm&)>& program) {
   }
 
   // Per-rank metric sinks: every instrumentation point on a rank thread
-  // (Comm::transmit, collectives, algorithm kernels) lands in its rank's
-  // registry; the registries merge into the caller's sink after the join
-  // so totals are deterministic and shard contention stays rank-local.
+  // (collectives, algorithm kernels) lands in its rank's registry; the
+  // registries merge into the caller's sink after the join so totals are
+  // deterministic and shard contention stays rank-local.
   std::vector<MetricsRegistry> rank_metrics(
       static_cast<std::size_t>(num_ranks_));
 
@@ -563,7 +535,7 @@ void Machine::run(const std::function<void(Comm&)>& program) {
   }
 
   // Aggregate observability state before any throw: a deadlocked or
-  // failed run still leaves its post-mortem (partial costs, traffic,
+  // failed run still leaves its post-mortem (partial costs, ledger,
   // traces, fault/reliability counters) readable.
   std::vector<RankCost> costs;
   costs.reserve(comms.size());
@@ -578,6 +550,21 @@ void Machine::run(const std::function<void(Comm&)>& program) {
       sink.merge_from(rank_registry);
     sink.gauge_max("machine.run.ranks", static_cast<double>(num_ranks_));
     sink.counter_add("machine.run.count");
+    // The comm fabric's counts are views of the ranks' cost books, taken
+    // once per run: every frame went through RankCost::count_send.
+    if (const std::int64_t frames =
+            report_.total_messages + report_.setup_messages;
+        frames > 0) {
+      sink.counter_add("machine.comm.frames", frames);
+      sink.counter_add("machine.comm.words",
+                       report_.total_words + report_.setup_words);
+      for (const RankCost& cost : costs)
+        if (cost.frame_words.count > 0)
+          sink.merge_histogram("machine.comm.frame_words", cost.frame_words);
+    }
+    if (report_.reliability.retransmissions > 0)
+      sink.counter_add("machine.comm.retransmit_frames",
+                       report_.reliability.retransmissions);
     if (report_.reliability.any()) {
       const ReliabilityStats& rel = report_.reliability;
       sink.counter_add("machine.reliable.frames_sent", rel.frames_sent);
@@ -601,7 +588,6 @@ void Machine::run(const std::function<void(Comm&)>& program) {
       sink.counter_add("machine.fault.stalls", f.stalls);
     }
   }
-  traffic_ = std::move(impl_->traffic);
   if (tracing_) {
     trace_.per_rank.reserve(comms.size());
     for (auto& comm : comms) trace_.per_rank.push_back(std::move(comm.trace_));

@@ -215,40 +215,6 @@ class CommClassScope {
   const char* previous_;
 };
 
-/// Aggregated rank-pair traffic of one run (optional recording).
-/// Row-major p×p: entry (src, dst) counts words/messages src sent to dst.
-/// This is *logical* application traffic — one message of payload-words
-/// per Comm::send, regardless of transport.  Reliable-transport frame
-/// headers, retransmissions and acks do NOT inflate it; the physical
-/// wire volume lives in the CommLedger (commledger.hpp).
-struct TrafficMatrix {
-  int num_ranks = 0;
-  std::vector<std::int64_t> words;
-  std::vector<std::int64_t> messages;
-
-  std::int64_t words_between(RankId src, RankId dst) const {
-    return words[cell(src, dst)];
-  }
-  std::int64_t messages_between(RankId src, RankId dst) const {
-    return messages[cell(src, dst)];
-  }
-
- private:
-  std::size_t cell(RankId src, RankId dst) const {
-    CAPSP_CHECK_MSG(num_ranks > 0,
-                    "traffic matrix is empty — was "
-                    "enable_traffic_recording(true) set before run()?");
-    CAPSP_CHECK_MSG(src >= 0 && src < num_ranks && dst >= 0 &&
-                        dst < num_ranks,
-                    "rank pair (" << src << ", " << dst
-                                  << ") out of range for " << num_ranks
-                                  << " ranks");
-    return static_cast<std::size_t>(src) *
-               static_cast<std::size_t>(num_ranks) +
-           static_cast<std::size_t>(dst);
-  }
-};
-
 /// A p-rank machine.  Construct, call run() with the SPMD program, then
 /// read the cost report.  A Machine may be run() multiple times; costs
 /// reset at the start of each run.
@@ -261,12 +227,6 @@ class Machine {
   Machine& operator=(const Machine&) = delete;
 
   int size() const { return num_ranks_; }
-
-  /// Record per-rank-pair traffic during subsequent run()s (off by
-  /// default; costs a p² counter table).
-  void enable_traffic_recording(bool enabled) {
-    record_traffic_ = enabled;
-  }
 
   /// Record per-rank event timelines during subsequent run()s (off by
   /// default).  Tracing is observational: the metered costs are
@@ -322,10 +282,6 @@ class Machine {
   /// Cost aggregation for the most recent run().
   const CostReport& report() const { return report_; }
 
-  /// Rank-pair traffic of the most recent run (empty matrices unless
-  /// enable_traffic_recording(true) was set before run()).
-  const TrafficMatrix& traffic() const { return traffic_; }
-
   /// Event timelines of the most recent run (empty unless
   /// enable_tracing(true) was set before run()).
   const Trace& trace() const { return trace_; }
@@ -351,7 +307,6 @@ class Machine {
   CommLedger live_comm_snapshot() const;
 
   int num_ranks_;
-  bool record_traffic_ = false;
   bool record_comm_ = false;
   bool tracing_ = false;
   bool reliable_transport_ = false;
@@ -361,7 +316,6 @@ class Machine {
   std::optional<DeadlockReport> deadlock_;
   std::unique_ptr<Impl> impl_;
   CostReport report_;
-  TrafficMatrix traffic_;
   Trace trace_;
   CommLedger comm_ledger_;
 };

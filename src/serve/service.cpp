@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <queue>
 #include <sstream>
 #include <string>
@@ -13,6 +13,7 @@
 #include "serve/telemetry.hpp"
 #include "util/buildinfo.hpp"
 #include "util/check.hpp"
+#include "util/cli.hpp"
 #include "util/flightrec.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
@@ -22,6 +23,10 @@
 
 namespace capsp {
 namespace {
+
+/// Tile-cache lock shards and sampled-trace ring capacity.
+constexpr int kCacheShards = 8;
+constexpr std::size_t kSampledTraceKeep = 128;
 
 double to_micros(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double, std::micro>(d).count();
@@ -120,9 +125,9 @@ DistanceService::DistanceService(std::shared_ptr<SnapshotReader> snapshot,
     : graph_(std::move(graph)),
       snapshot_(std::move(snapshot)),
       options_(options),
-      cache_({options.cache_bytes, options.cache_shards}, registry_),
+      cache_({options.cache_bytes, kCacheShards}, registry_),
       trace_log_({options.trace_sample_every, options.slow_trace_ms * 1000.0,
-                  options.trace_keep, options.slow_trace_keep}),
+                  kSampledTraceKeep, options.slow_trace_keep}),
       slo_(options.slo),
       latency_window_(options.window_seconds, options.window_slices),
       error_window_(options.window_seconds, options.window_slices),
@@ -397,7 +402,7 @@ bool DistanceService::submit(Job job,
   // thread), refuse new work up front — a fast structured "degraded"
   // spends far less error budget than a slow failure per request.
   const bool shedding =
-      resilience_on_ && options_.shed_when_unhealthy &&
+      resilience_on_ &&
       health_.load(std::memory_order_relaxed) ==
           static_cast<int>(HealthState::kUnhealthy);
   {
@@ -996,22 +1001,20 @@ int DistanceService::start_telemetry(int port) {
   // acceptable at telemetry traffic rates and documented in
   // docs/profiling.md; concurrent attempts see 503.
   telemetry_->handle("/profile", [](const std::string& query) {
-    char* end = nullptr;
-    const std::string seconds_str =
-        telemetry_query_param(query, "seconds", "2");
-    double seconds = std::strtod(seconds_str.c_str(), &end);
-    if (end == seconds_str.c_str() || !(seconds > 0))
+    const std::optional<double> seconds_arg =
+        parse_double(telemetry_query_param(query, "seconds", "2"));
+    if (!seconds_arg || !(*seconds_arg > 0))
       return TelemetryResponse{400, "text/plain; charset=utf-8",
                                "bad seconds parameter\n"};
-    seconds = std::min(seconds, 60.0);
-    const std::string hz_str = telemetry_query_param(query, "hz", "497");
-    double hz = std::strtod(hz_str.c_str(), &end);
-    if (end == hz_str.c_str() || !(hz > 0) || hz > 4000)
+    const double seconds = std::min(*seconds_arg, 60.0);
+    const std::optional<double> hz =
+        parse_double(telemetry_query_param(query, "hz", "497"));
+    if (!hz || !(*hz > 0) || *hz > 4000)
       return TelemetryResponse{400, "text/plain; charset=utf-8",
                                "bad hz parameter\n"};
     const std::string format = telemetry_query_param(query, "format", "folded");
     ProfOptions prof_options;
-    prof_options.hz = hz;
+    prof_options.hz = *hz;
     if (!Profiler::global().start(prof_options))
       return TelemetryResponse{503, "text/plain; charset=utf-8",
                                "profiler busy\n"};
@@ -1029,15 +1032,13 @@ int DistanceService::start_telemetry(int port) {
   // time: GET /logs[?n=N].  Reads take the per-ring locks (never the
   // crash path), so scrapes are safe against concurrent recording.
   telemetry_->handle("/logs", [](const std::string& query) {
-    char* end = nullptr;
-    const std::string n_str = telemetry_query_param(query, "n", "256");
-    const long n = std::strtol(n_str.c_str(), &end, 10);
-    if (end == n_str.c_str() || n <= 0)
+    const std::optional<std::int64_t> n =
+        parse_int(telemetry_query_param(query, "n", "256"));
+    if (!n || *n <= 0)
       return TelemetryResponse{400, "text/plain; charset=utf-8",
                                "bad n parameter\n"};
-    return TelemetryResponse{
-        200, "application/json",
-        flightrec::recent_events_json(static_cast<std::int64_t>(n)) + "\n"};
+    return TelemetryResponse{200, "application/json",
+                             flightrec::recent_events_json(*n) + "\n"};
   });
   // Full on-demand black-box dump, same JSON as a crash would write.
   telemetry_->handle("/debug/flightrec", [](const std::string&) {

@@ -78,7 +78,6 @@ struct ServeOptions {
   /// Tile-cache budget; make it smaller than the matrix to bound resident
   /// memory (the whole point of the tiled snapshot format).
   std::int64_t cache_bytes = 16 << 20;
-  int cache_shards = 8;
   /// Admission bound: requests beyond this queue depth are rejected with
   /// kOverloaded instead of queued without bound (0 admits nothing —
   /// every request is rejected, which makes overload handling testable).
@@ -93,7 +92,6 @@ struct ServeOptions {
   /// request at or over it keeps its full span tree even when sampling
   /// would have dropped it.
   double slow_trace_ms = 0;
-  std::size_t trace_keep = 128;      ///< sampled-trace ring capacity
   std::size_t slow_trace_keep = 32;  ///< slow-trace ring capacity
 
   /// Rolling latency/error window (util/metrics RollingHistogram).
@@ -120,9 +118,6 @@ struct ServeOptions {
   /// Cadence of the maintenance thread (watchdog scan + quarantine
   /// probes + health refresh).
   double maintenance_interval_ms = 20;
-  /// Reject new work with kDegraded while health is kUnhealthy, instead
-  /// of burning the whole error budget on requests that will fail anyway.
-  bool shed_when_unhealthy = true;
   /// Chaos hook (serve/servefault): wired into the snapshot reader at
   /// construction.  nullptr = no injection.
   std::shared_ptr<ServeFaultInjector> fault_injector;

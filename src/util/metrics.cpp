@@ -7,12 +7,10 @@
 #include "util/json.hpp"
 
 namespace capsp {
-namespace {
 
-/// Bucket index for a value: 0 for v ≤ 1 (and non-finite junk), else
-/// ceil(log₂ v) clamped to the table.  Powers of two land exactly on
-/// their own bucket boundary (IEEE log2 is exact there).
-int bucket_of(double value) {
+// Powers of two land exactly on their own bucket boundary (IEEE log2 is
+// exact there).
+int log2_bucket(double value) {
   if (!(value > 1.0)) return 0;
   const double b = std::ceil(std::log2(value));
   if (b >= static_cast<double>(Histogram::kBuckets - 1)) {
@@ -20,6 +18,8 @@ int bucket_of(double value) {
   }
   return static_cast<int>(b);
 }
+
+namespace {
 
 /// FNV-1a over the name picks the shard; stable across platforms so
 /// contention behaviour is reproducible.
@@ -50,7 +50,7 @@ void Histogram::observe(double value) {
   sum += value;
   min = std::min(min, value);
   max = std::max(max, value);
-  ++buckets[static_cast<std::size_t>(bucket_of(value))];
+  ++buckets[static_cast<std::size_t>(log2_bucket(value))];
 }
 
 void Histogram::merge(const Histogram& other) {
@@ -184,6 +184,13 @@ void MetricsRegistry::observe(std::string_view name, double value) {
   Shard& shard = shard_for(name);
   const std::lock_guard<std::mutex> lock(shard.mutex);
   slot(shard, name, MetricKind::kHistogram).histogram.observe(value);
+}
+
+void MetricsRegistry::merge_histogram(std::string_view name,
+                                      const Histogram& histogram) {
+  Shard& shard = shard_for(name);
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  slot(shard, name, MetricKind::kHistogram).histogram.merge(histogram);
 }
 
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {

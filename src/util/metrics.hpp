@@ -31,6 +31,11 @@ class JsonWriter;
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
+/// The log₂ bucket rule every size histogram shares (Histogram below and
+/// the comm ledger's per-channel size_log2): 0 for v ≤ 1 (and non-finite
+/// junk), else ceil(log₂ v), clamped to Histogram's last bucket.
+int log2_bucket(double value);
+
 /// Fixed-shape log₂ histogram.  Bucket 0 holds values ≤ 1; bucket b ≥ 1
 /// holds (2^(b-1), 2^b]; the last bucket absorbs everything larger.
 /// Exact min/max/sum/count ride along, so mean is exact and the
@@ -142,6 +147,9 @@ class MetricsRegistry {
   /// Gauge variant keeping the maximum of all values set so far.
   void gauge_max(std::string_view name, double value);
   void observe(std::string_view name, double value);
+  /// Merge a histogram built elsewhere (e.g. a rank's RankCost) into
+  /// the histogram `name`, exactly as merge_from would.
+  void merge_histogram(std::string_view name, const Histogram& histogram);
 
   /// Add every metric of `other` into this registry (counters add,
   /// gauges keep the max, histograms merge).  Kind conflicts CHECK.

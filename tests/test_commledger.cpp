@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cost_oracle.hpp"
@@ -18,6 +20,7 @@
 #include "machine/trace_export.hpp"
 #include "semiring/block.hpp"
 #include "util/json.hpp"
+#include "util/metrics.hpp"
 
 namespace capsp {
 namespace {
@@ -27,15 +30,23 @@ std::vector<Dist> payload(std::size_t words) {
 }
 
 TEST(CommChannelStats, SizeBucketMatchesMetricsConvention) {
-  // Bucket 0 holds sizes <= 1, bucket b holds (2^(b-1), 2^b].
-  EXPECT_EQ(CommChannelStats::size_bucket(0), 0);
-  EXPECT_EQ(CommChannelStats::size_bucket(1), 0);
-  EXPECT_EQ(CommChannelStats::size_bucket(2), 1);
-  EXPECT_EQ(CommChannelStats::size_bucket(3), 2);
-  EXPECT_EQ(CommChannelStats::size_bucket(4), 2);
-  EXPECT_EQ(CommChannelStats::size_bucket(5), 3);
-  EXPECT_EQ(CommChannelStats::size_bucket(1024), 10);
-  EXPECT_EQ(CommChannelStats::size_bucket(1025), 11);
+  // One rule for every size histogram: bucket 0 holds sizes <= 1,
+  // bucket b holds (2^(b-1), 2^b].
+  EXPECT_EQ(log2_bucket(0), 0);
+  EXPECT_EQ(log2_bucket(1), 0);
+  EXPECT_EQ(log2_bucket(2), 1);
+  EXPECT_EQ(log2_bucket(3), 2);
+  EXPECT_EQ(log2_bucket(4), 2);
+  EXPECT_EQ(log2_bucket(5), 3);
+  EXPECT_EQ(log2_bucket(1024), 10);
+  EXPECT_EQ(log2_bucket(1025), 11);
+  EXPECT_EQ(log2_bucket(static_cast<double>(INT64_MAX)),
+            Histogram::kBuckets - 1);
+  // The ledger applies the same rule, clamped to its shorter table.
+  for (const std::int64_t words : {0, 1, 2, 3, 4, 5, 1024, 1025})
+    EXPECT_EQ(CommChannelStats::size_bucket(words),
+              log2_bucket(static_cast<double>(words)))
+        << words;
   EXPECT_EQ(CommChannelStats::size_bucket(INT64_MAX),
             CommChannelStats::kSizeBuckets - 1);
 }
@@ -182,9 +193,9 @@ TEST(MachineLedger, OffByDefaultAndResetBetweenRuns) {
   EXPECT_EQ(machine.comm_ledger().totals().logical_messages, 1);
 }
 
-// Satellite 2: under a drop-heavy plan the reliable layer retries, but
-// the *logical* books — TrafficMatrix and the ledger's logical side —
-// must match the clean run exactly; only the physical book inflates.
+// Under a drop-heavy plan the reliable layer retries, but the ledger's
+// *logical* book must match the clean run exactly, channel by channel;
+// only the physical book inflates.
 TEST(MachineLedger, RetriesInflatePhysicalBookOnly) {
   const auto chatter = [](Comm& comm) {
     for (int i = 0; i < 40; ++i) {
@@ -197,13 +208,11 @@ TEST(MachineLedger, RetriesInflatePhysicalBookOnly) {
   };
   Machine clean(2);
   clean.enable_reliable_transport(true);
-  clean.enable_traffic_recording(true);
   clean.enable_comm_ledger(true);
   clean.run(chatter);
 
   Machine faulty(2);
   faulty.enable_reliable_transport(true);
-  faulty.enable_traffic_recording(true);
   faulty.enable_comm_ledger(true);
   FaultPlan plan;
   plan.seed = 5;
@@ -211,10 +220,17 @@ TEST(MachineLedger, RetriesInflatePhysicalBookOnly) {
   faulty.set_fault_plan(plan);
   faulty.run(chatter);
 
-  // Logical application traffic is identical (satellite 2: no retry/ack
-  // inflation of the TrafficMatrix).
-  EXPECT_EQ(clean.traffic().words, faulty.traffic().words);
-  EXPECT_EQ(clean.traffic().messages, faulty.traffic().messages);
+  // Logical application traffic is identical on every channel: no
+  // retry/ack inflation of the logical book.
+  const auto logical = [](const CommLedger& ledger) {
+    std::map<CommChannelKey, std::pair<std::int64_t, std::int64_t>> out;
+    for (const auto& [key, stats] : ledger.channels)
+      if (stats.logical_messages > 0)
+        out[key] = {stats.logical_messages, stats.logical_words};
+    return out;
+  };
+  EXPECT_FALSE(logical(clean.comm_ledger()).empty());
+  EXPECT_EQ(logical(clean.comm_ledger()), logical(faulty.comm_ledger()));
   const CommChannelStats clean_totals = clean.comm_ledger().totals();
   const CommChannelStats faulty_totals = faulty.comm_ledger().totals();
   EXPECT_EQ(clean_totals.logical_messages, faulty_totals.logical_messages);
@@ -229,6 +245,70 @@ TEST(MachineLedger, RetriesInflatePhysicalBookOnly) {
   EXPECT_GT(faulty_totals.physical_frames, clean_totals.physical_frames);
   EXPECT_GT(faulty_totals.protocol_charges, 0);
   EXPECT_EQ(clean_totals.retransmit_frames, 0);
+}
+
+// Every frame is counted once, in RankCost; the run-level views built
+// from it must agree with each other and with the ledger's physical book.
+TEST(MachineLedger, CommMetricsAreViewsOfTheRankBooks) {
+  MetricsRegistry caller;
+  const ScopedMetricsSink sink(caller);
+  Machine machine(3);
+  machine.enable_reliable_transport(true);
+  machine.enable_comm_ledger(true);
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.drop = 0.3;
+  machine.set_fault_plan(plan);
+  machine.run([](Comm& comm) {
+    // Setup traffic before the reset lands in the setup_* segment.
+    if (comm.rank() == 0) {
+      comm.send(1, 1, payload(3));
+      comm.send(2, 1, payload(70));
+    } else {
+      comm.recv(0, 1);
+    }
+    comm.reset_clock();
+    for (int i = 0; i < 20; ++i) {
+      const RankId next = (comm.rank() + 1) % comm.size();
+      const RankId prev = (comm.rank() + comm.size() - 1) % comm.size();
+      comm.send(next, 100 + i, payload(static_cast<std::size_t>(i) + 1));
+      comm.recv(prev, 100 + i);
+    }
+  });
+  const CostReport& report = machine.report();
+  ASSERT_GT(report.setup_messages, 0);
+  ASSERT_GT(report.reliability.retransmissions, 0);
+  const MetricsSnapshot snap = caller.snapshot();
+  const CommChannelStats ledger = machine.comm_ledger().totals();
+
+  const std::int64_t frames = snap.at("machine.comm.frames").counter;
+  EXPECT_EQ(frames, report.total_messages + report.setup_messages);
+  EXPECT_EQ(frames, report.reliability.frames_sent);
+  EXPECT_EQ(frames, ledger.physical_frames);
+
+  const std::int64_t words = snap.at("machine.comm.words").counter;
+  EXPECT_EQ(words, report.total_words + report.setup_words);
+  EXPECT_EQ(words, ledger.physical_words);
+
+  const std::int64_t retransmits =
+      snap.at("machine.comm.retransmit_frames").counter;
+  EXPECT_EQ(retransmits, report.reliability.retransmissions);
+  EXPECT_EQ(retransmits, ledger.retransmit_frames);
+
+  const Histogram& sizes = snap.at("machine.comm.frame_words").histogram;
+  EXPECT_EQ(sizes.count, frames);
+  EXPECT_EQ(sizes.sum, static_cast<double>(words));
+
+  // A single rank sends nothing, so no machine.comm.* key appears.
+  MetricsRegistry lone_caller;
+  {
+    const ScopedMetricsSink lone_sink(lone_caller);
+    Machine lone(1);
+    lone.run([](Comm&) {});
+  }
+  for (const auto& [name, metric] : lone_caller.snapshot())
+    EXPECT_NE(name.rfind("machine.comm.", 0), 0u) << name;
+  EXPECT_EQ(lone_caller.snapshot().count("machine.run.count"), 1u);
 }
 
 TEST(MachineLedger, LedgerIsObservational) {

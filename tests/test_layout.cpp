@@ -91,7 +91,7 @@ TEST(ApspLayout, InvalidLabelsRejected) {
 
 TEST(Machine, TrafficRecordingMatchesVolumes) {
   Machine machine(3);
-  machine.enable_traffic_recording(true);
+  machine.enable_comm_ledger(true);
   machine.run([](Comm& comm) {
     if (comm.rank() == 0) {
       comm.send(1, 0, std::vector<Dist>{1, 2, 3});
@@ -102,27 +102,21 @@ TEST(Machine, TrafficRecordingMatchesVolumes) {
       if (comm.rank() == 2) comm.recv(1, 1);
     }
   });
-  const TrafficMatrix& traffic = machine.traffic();
-  ASSERT_EQ(traffic.num_ranks, 3);
-  EXPECT_EQ(traffic.words_between(0, 1), 3);
-  EXPECT_EQ(traffic.words_between(0, 2), 1);
-  EXPECT_EQ(traffic.words_between(1, 2), 2);
-  EXPECT_EQ(traffic.words_between(2, 1), 0);
-  EXPECT_EQ(traffic.messages_between(0, 1), 1);
-  std::int64_t total = 0;
-  for (RankId s = 0; s < 3; ++s)
-    for (RankId d = 0; d < 3; ++d) total += traffic.words_between(s, d);
-  EXPECT_EQ(total, machine.report().total_words);
-}
-
-TEST(Machine, TrafficRecordingOffByDefault) {
-  Machine machine(2);
-  machine.run([](Comm& comm) {
-    if (comm.rank() == 0) comm.send(1, 0, std::vector<Dist>{1});
-    if (comm.rank() == 1) comm.recv(0, 0);
-  });
-  EXPECT_EQ(machine.traffic().num_ranks, 0);
-  EXPECT_TRUE(machine.traffic().words.empty());
+  const CommLedger& ledger = machine.comm_ledger();
+  ASSERT_EQ(ledger.num_ranks, 3);
+  // The logical book per rank pair, summed over tag classes and phases.
+  const auto between = [&ledger](RankId src, RankId dst) {
+    CommChannelStats sum;
+    for (const auto& [key, stats] : ledger.channels)
+      if (key.src == src && key.dst == dst) sum += stats;
+    return sum;
+  };
+  EXPECT_EQ(between(0, 1).logical_words, 3);
+  EXPECT_EQ(between(0, 2).logical_words, 1);
+  EXPECT_EQ(between(1, 2).logical_words, 2);
+  EXPECT_EQ(between(2, 1).logical_words, 0);
+  EXPECT_EQ(between(0, 1).logical_messages, 1);
+  EXPECT_EQ(ledger.totals().logical_words, machine.report().total_words);
 }
 
 }  // namespace

@@ -391,6 +391,30 @@ TEST(DistanceServiceSoak, TelemetryScrapeWhileTracedClientsRun) {
   EXPECT_EQ(http_get(port, "/healthz"), "");
 }
 
+// Telemetry query parameters parse as whole strings: trailing junk is a
+// 400 with the handler's "bad ... parameter" body, never a truncated
+// value.  The bad /profile cases return before the profiler starts.
+TEST(DistanceService, TelemetryQueryParametersParseTheWholeString) {
+  const Fixture f = make_fixture(4, 2);
+  DistanceService service(f.reader, f.graph, ServeOptions{});
+  const int port = service.start_telemetry(0);
+  ASSERT_GT(port, 0);
+  const std::pair<const char*, const char*> cases[] = {
+      {"/logs?n=abc", "bad n parameter"},
+      {"/logs?n=3abc", "bad n parameter"},
+      {"/profile?seconds=0.2x", "bad seconds parameter"},
+      {"/profile?seconds=0.2&hz=100junk", "bad hz parameter"},
+  };
+  for (const auto& [path, body] : cases) {
+    const std::string response = http_get(port, path);
+    EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos) << path;
+    EXPECT_NE(response.find(body), std::string::npos) << path;
+  }
+  EXPECT_NE(http_get(port, "/logs?n=3").find("HTTP/1.1 200"),
+            std::string::npos);
+  service.stop();
+}
+
 TEST(TileCache, LruEvictsColdTilesFirst) {
   MetricsRegistry registry;
   TileCacheOptions options;

@@ -3,7 +3,9 @@
 // dc_apsp_rank on a hand-built machine, plus the Timer utility.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
+#include <utility>
 
 #include "baseline/dc_apsp.hpp"
 #include "baseline/reference.hpp"
@@ -24,7 +26,7 @@ TEST(SpmdApi, HandBuiltSparseRunMatchesDriver) {
   const Graph reordered = apply_dissection(graph, nd);
 
   Machine machine(layout.num_ranks());
-  machine.enable_traffic_recording(true);
+  machine.enable_comm_ledger(true);
   // Collect final blocks into a shared table (one writer per slot).
   std::vector<DistBlock> finals(
       static_cast<std::size_t>(layout.num_ranks()));
@@ -50,14 +52,10 @@ TEST(SpmdApi, HandBuiltSparseRunMatchesDriver) {
     for (Vertex v = 0; v < graph.num_vertices(); ++v)
       ASSERT_NEAR(assembled.at(u, v), want.at(u, v), 1e-9);
 
-  // Traffic matrix recorded and consistent with the report.
-  const TrafficMatrix& traffic = machine.traffic();
-  ASSERT_EQ(traffic.num_ranks, layout.num_ranks());
-  std::int64_t total = 0;
-  for (RankId s = 0; s < traffic.num_ranks; ++s)
-    for (RankId d = 0; d < traffic.num_ranks; ++d)
-      total += traffic.words_between(s, d);
-  EXPECT_EQ(total, machine.report().total_words);
+  // Ledger recorded and its logical book consistent with the report.
+  const CommLedger& ledger = machine.comm_ledger();
+  ASSERT_EQ(ledger.num_ranks, layout.num_ranks());
+  EXPECT_EQ(ledger.totals().logical_words, machine.report().total_words);
 }
 
 TEST(SpmdApi, SparseTrafficIsSparserThanDense) {
@@ -70,7 +68,7 @@ TEST(SpmdApi, SparseTrafficIsSparserThanDense) {
   const ApspLayout layout(nd);
   const Graph reordered = apply_dissection(graph, nd);
   Machine machine(layout.num_ranks());
-  machine.enable_traffic_recording(true);
+  machine.enable_comm_ledger(true);
   machine.run([&](Comm& comm) {
     const auto [i, j] = layout.block_of(comm.rank());
     DistBlock local = adjacency_block(
@@ -78,12 +76,13 @@ TEST(SpmdApi, SparseTrafficIsSparserThanDense) {
         layout.range_of(j).begin, layout.range_of(j).end);
     sparse_apsp_rank(comm, layout, local);
   });
-  const TrafficMatrix& traffic = machine.traffic();
-  int used = 0;
+  // Rank pairs that carried logical words.
+  std::set<std::pair<RankId, RankId>> used;
+  for (const auto& [key, stats] : machine.comm_ledger().channels)
+    if (stats.logical_words > 0) used.insert({key.src, key.dst});
   const int p = layout.num_ranks();
-  for (RankId s = 0; s < p; ++s)
-    for (RankId d = 0; d < p; ++d) used += traffic.words_between(s, d) > 0;
-  EXPECT_LT(used, p * p / 3) << "communication graph not sparse";
+  EXPECT_LT(static_cast<int>(used.size()), p * p / 3)
+      << "communication graph not sparse";
 }
 
 TEST(SpmdApi, DcRankCallableDirectly) {

@@ -15,8 +15,8 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -26,6 +26,7 @@
 #include "serve/reqtrace.hpp"
 #include "serve/slo.hpp"
 #include "serve/telemetry.hpp"
+#include "util/cli.hpp"
 #include "util/metrics.hpp"
 #include "util/procstat.hpp"
 #include "util/prof.hpp"
@@ -556,16 +557,16 @@ TEST(TelemetryQueryParam, MalformedAndDuplicatedQueries) {
 }
 
 TEST(TelemetryServer, ProfileStyleValidationOfEdgeCaseQueries) {
-  // A handler with /profile's exact validation pattern (strtod + range
-  // check): parsing edge cases must come back 400, never crash, and
-  // duplicated parameters must resolve to the first value.
+  // A handler with /profile's exact validation pattern (whole-string
+  // parse_double + range check): parsing edge cases must come back 400,
+  // never crash, and duplicated parameters must resolve to the first
+  // value.
   TelemetryServer server;
   server.handle("/window", [](const std::string& query) {
-    char* end = nullptr;
     const std::string seconds_str =
         telemetry_query_param(query, "seconds", "2");
-    const double parsed = std::strtod(seconds_str.c_str(), &end);
-    if (end == seconds_str.c_str() || !(parsed > 0))
+    const std::optional<double> parsed = parse_double(seconds_str);
+    if (!parsed || !(*parsed > 0))
       return TelemetryResponse{400, "text/plain", "bad seconds\n"};
     return TelemetryResponse{200, "text/plain",
                              "seconds=" + seconds_str + "\n"};
@@ -574,7 +575,7 @@ TEST(TelemetryServer, ProfileStyleValidationOfEdgeCaseQueries) {
   ASSERT_GT(port, 0);
   EXPECT_NE(body_of(http_get(port, "/window?seconds=3")).find("seconds=3"),
             std::string::npos);
-  // Duplicated parameter: first wins, the 900 never reaches strtod.
+  // Duplicated parameter: first wins, the 900 is never parsed.
   EXPECT_NE(body_of(http_get(port, "/window?seconds=3&seconds=900"))
                 .find("seconds=3"),
             std::string::npos);

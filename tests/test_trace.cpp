@@ -212,29 +212,9 @@ TEST(Trace, ResetClockSegmentsVolumes) {
   EXPECT_EQ(report.critical_bandwidth, 5);
 }
 
-TEST(Trace, TrafficMatrixBoundsChecked) {
-  const TrafficMatrix empty;
-  EXPECT_THROW(empty.words_between(0, 0), check_error);
-  EXPECT_THROW(empty.messages_between(0, 0), check_error);
-
-  Machine machine(2);
-  machine.enable_traffic_recording(true);
-  machine.run([](Comm& comm) {
-    if (comm.rank() == 0) {
-      const std::vector<Dist> payload(4, 1.0);
-      comm.send(1, 7, payload);
-    } else {
-      comm.recv(0, 7);
-    }
-  });
-  EXPECT_EQ(machine.traffic().words_between(0, 1), 4);
-  EXPECT_THROW(machine.traffic().words_between(0, 2), check_error);
-  EXPECT_THROW(machine.traffic().messages_between(-1, 0), check_error);
-}
-
 TEST(Trace, RunClearsTrafficAndTraceBetweenRuns) {
   Machine machine(2);
-  machine.enable_traffic_recording(true);
+  machine.enable_comm_ledger(true);
   machine.enable_tracing(true);
   machine.run([](Comm& comm) {
     if (comm.rank() == 0) {
@@ -244,13 +224,16 @@ TEST(Trace, RunClearsTrafficAndTraceBetweenRuns) {
       comm.recv(0, 7);
     }
   });
-  EXPECT_EQ(machine.traffic().words_between(0, 1), 4);
+  ASSERT_EQ(machine.comm_ledger().channels.size(), 1u);
+  const auto& [key, stats] = *machine.comm_ledger().channels.begin();
+  EXPECT_EQ(key.src, 0);
+  EXPECT_EQ(key.dst, 1);
+  EXPECT_EQ(stats.logical_words, 4);
   EXPECT_GT(machine.trace().num_events(), 0u);
 
   // A second, silent run must not inherit the first run's counters.
   machine.run([](Comm&) {});
-  EXPECT_EQ(machine.traffic().words_between(0, 1), 0);
-  EXPECT_EQ(machine.traffic().messages_between(1, 0), 0);
+  EXPECT_TRUE(machine.comm_ledger().channels.empty());
   EXPECT_EQ(machine.trace().num_events(), 0u);
   EXPECT_EQ(machine.report().total_messages, 0);
 }
