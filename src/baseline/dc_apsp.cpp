@@ -118,7 +118,6 @@ DistributedApspResult run_dc_apsp(const Graph& graph, int q) {
   const GridLayout layout =
       GridLayout::square(all, q, graph.num_vertices());
 
-  std::vector<CostClock> apsp_clocks(static_cast<std::size_t>(p));
   result.ops_per_rank.assign(static_cast<std::size_t>(p), 0);
   machine.run([&](Comm& comm) {
     comm.set_phase("setup");
@@ -129,23 +128,13 @@ DistributedApspResult run_dc_apsp(const Graph& graph, int q) {
     dc_apsp_rank(comm, layout, local, tag,
                  &result.ops_per_rank[static_cast<std::size_t>(
                      comm.rank())]);
-    // Snapshot before the result gather so collection does not pollute the
-    // measured critical path (one writer per slot; no race).
-    apsp_clocks[static_cast<std::size_t>(comm.rank())] = comm.clock();
+    comm.stop_clock();
     comm.set_phase("collect");
     DistBlock gathered =
         gather_matrix(comm, layout, local, 0, tag + 1);
     if (comm.rank() == 0) result.distances = std::move(gathered);
   });
   result.costs = machine.report();
-  result.costs.critical_latency = 0;
-  result.costs.critical_bandwidth = 0;
-  for (const auto& clock : apsp_clocks) {
-    result.costs.critical_latency =
-        std::max(result.costs.critical_latency, clock.latency);
-    result.costs.critical_bandwidth =
-        std::max(result.costs.critical_bandwidth, clock.words);
-  }
   return result;
 }
 

@@ -23,8 +23,10 @@ namespace capsp {
 /// Result of a metered distributed APSP run.
 struct DistributedApspResult {
   DistBlock distances;  ///< full n×n matrix (gathered to the driver)
-  CostReport costs;     ///< communication costs of the APSP phase only
-                        ///< (setup/collection metered under separate phases)
+  /// Critical costs cover the measured window, reset_clock() to
+  /// stop_clock(): the APSP phase only.  Setup and collection volumes are
+  /// metered under their own phases.
+  CostReport costs;
   /// Scalar ⊗ operations per rank (the Sec. 5.1 load-balance measurement:
   /// with the block layout, DC's recursion idles most ranks during the
   /// quadrant subproblems).

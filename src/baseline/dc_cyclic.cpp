@@ -10,109 +10,66 @@
 namespace capsp {
 namespace {
 
-/// Per-rank state of the cyclic computation: the layout geometry and this
-/// rank's blocks, keyed by global block coordinates.
+/// Per-rank state of the cyclic computation: the layout and this rank's
+/// blocks.
 struct CyclicState {
-  int q = 0;
-  int nb = 0;
-  std::vector<std::int64_t> offsets;  // nb+1 global row/col boundaries
-  std::map<std::pair<int, int>, DistBlock> mine;
+  const CyclicLayout& layout;
+  CyclicBlocks mine;
   std::int64_t ops = 0;
-
-  std::int64_t block_size(int b) const {
-    return offsets[static_cast<std::size_t>(b) + 1] -
-           offsets[static_cast<std::size_t>(b)];
-  }
-  RankId owner(int bi, int bj) const { return (bi % q) * q + (bj % q); }
 };
 
-/// Broadcast, along each grid row, the sender's stacked blocks
-/// A(bi, t) for bi in [row_lo, row_hi) with bi ≡ grid row (mod q); every
-/// rank of the row receives and unpacks them.  Returns the unpacked
-/// blocks keyed by bi.  One tag per call.
-std::map<int, DistBlock> bcast_column_panel(Comm& comm, CyclicState& s,
-                                            int t, int row_lo, int row_hi,
-                                            Tag tag) {
-  const int q = s.q;
-  const RankId me = comm.rank();
-  const int gr = me / q, gc = me % q;
-  const int tc = t % q;
+/// Broadcast panel t over the block range [lo, hi): column panels, the
+/// stacked blocks A(b, t), go along each grid row; row panels, B(t, b),
+/// go down each grid column.  Each group carries the range's blocks with
+/// b ≡ its grid row (column) index (mod q); every member receives and
+/// unpacks them.  Returns the unpacked blocks keyed by b.  One tag per
+/// call.
+std::map<int, DistBlock> bcast_panel(Comm& comm, CyclicState& s, int t,
+                                     std::pair<int, int> range, bool column,
+                                     Tag tag) {
+  const CyclicLayout& layout = s.layout;
+  const auto [gr, gc] = layout.grid_coords(comm.rank());
+  const auto member = [&](int k) {
+    return column ? layout.rank_at(gr, k) : layout.rank_at(k, gc);
+  };
+  const auto key = [&](int b) {
+    return column ? std::pair<int, int>{b, t} : std::pair<int, int>{t, b};
+  };
 
   std::vector<int> ids;
-  for (int bi = row_lo; bi < row_hi; ++bi)
-    if (bi % q == gr) ids.push_back(bi);
-  // Every member of the row group computes the same ids; skip the
-  // collective entirely when this grid row holds no blocks of the range.
+  for (int b = range.first; b < range.second; ++b)
+    if (b % layout.q == (column ? gr : gc)) ids.push_back(b);
+  // Every member of the group computes the same ids; skip the collective
+  // entirely when this group holds no blocks of the range.
   if (ids.empty()) return {};
 
   std::int64_t words = 0;
-  for (int bi : ids) words += s.block_size(bi) * s.block_size(t);
+  for (int b : ids) words += layout.block_size(b) * layout.block_size(t);
   DistBlock panel(words, 1);
-  if (gc == tc) {
+  const RankId root = member(t % layout.q);
+  if (comm.rank() == root) {
     std::int64_t cursor = 0;
-    for (int bi : ids) {
-      const auto& block = s.mine.at({bi, t});
+    for (int b : ids) {
+      const auto& block = s.mine.at(key(b));
       std::copy(block.data().begin(), block.data().end(),
                 panel.data().begin() + cursor);
       cursor += block.size();
     }
   }
-  std::vector<RankId> row_group;
-  for (int j = 0; j < q; ++j) row_group.push_back(gr * q + j);
-  group_broadcast(comm, row_group, gr * q + tc, panel, tag);
+  std::vector<RankId> group;
+  for (int k = 0; k < layout.q; ++k) group.push_back(member(k));
+  group_broadcast(comm, group, root, panel, tag);
 
   std::map<int, DistBlock> out;
   std::int64_t cursor = 0;
-  for (int bi : ids) {
-    DistBlock block(s.block_size(bi), s.block_size(t));
+  for (int b : ids) {
+    const auto [bi, bj] = key(b);
+    DistBlock block(layout.block_size(bi), layout.block_size(bj));
     std::copy(panel.data().begin() + cursor,
               panel.data().begin() + cursor + block.size(),
               block.data().begin());
     cursor += block.size();
-    out.emplace(bi, std::move(block));
-  }
-  return out;
-}
-
-/// Same for row panels B(t, bj), broadcast down each grid column.
-std::map<int, DistBlock> bcast_row_panel(Comm& comm, CyclicState& s, int t,
-                                         int col_lo, int col_hi, Tag tag) {
-  const int q = s.q;
-  const RankId me = comm.rank();
-  const int gr = me / q, gc = me % q;
-  const int tr = t % q;
-
-  std::vector<int> ids;
-  for (int bj = col_lo; bj < col_hi; ++bj)
-    if (bj % q == gc) ids.push_back(bj);
-  // Same skip as the column panels: consistent within the column group.
-  if (ids.empty()) return {};
-
-  std::int64_t words = 0;
-  for (int bj : ids) words += s.block_size(t) * s.block_size(bj);
-  DistBlock panel(words, 1);
-  if (gr == tr) {
-    std::int64_t cursor = 0;
-    for (int bj : ids) {
-      const auto& block = s.mine.at({t, bj});
-      std::copy(block.data().begin(), block.data().end(),
-                panel.data().begin() + cursor);
-      cursor += block.size();
-    }
-  }
-  std::vector<RankId> col_group;
-  for (int i = 0; i < q; ++i) col_group.push_back(i * q + gc);
-  group_broadcast(comm, col_group, tr * q + gc, panel, tag);
-
-  std::map<int, DistBlock> out;
-  std::int64_t cursor = 0;
-  for (int bj : ids) {
-    DistBlock block(s.block_size(t), s.block_size(bj));
-    std::copy(panel.data().begin() + cursor,
-              panel.data().begin() + cursor + block.size(),
-              block.data().begin());
-    cursor += block.size();
-    out.emplace(bj, std::move(block));
+    out.emplace(b, std::move(block));
   }
   return out;
 }
@@ -124,28 +81,26 @@ std::map<int, DistBlock> bcast_row_panel(Comm& comm, CyclicState& s, int t,
 void cyclic_multiply(Comm& comm, CyclicState& s, std::pair<int, int> rows,
                      std::pair<int, int> cols, std::pair<int, int> inner,
                      bool replace, Tag& tag) {
-  const int q = s.q;
-  const RankId me = comm.rank();
-  const int gr = me / q, gc = me % q;
+  const CyclicLayout& layout = s.layout;
+  const int q = layout.q;
+  const auto [gr, gc] = layout.grid_coords(comm.rank());
 
   // Fresh accumulation targets when replacing.
-  std::map<std::pair<int, int>, DistBlock> fresh;
+  CyclicBlocks fresh;
   if (replace) {
     for (int bi = rows.first; bi < rows.second; ++bi) {
       if (bi % q != gr) continue;
       for (int bj = cols.first; bj < cols.second; ++bj) {
         if (bj % q != gc) continue;
         fresh.emplace(std::pair<int, int>{bi, bj},
-                      DistBlock(s.block_size(bi), s.block_size(bj)));
+                      DistBlock(layout.block_size(bi), layout.block_size(bj)));
       }
     }
   }
 
   for (int t = inner.first; t < inner.second; ++t) {
-    const auto a_by_bi =
-        bcast_column_panel(comm, s, t, rows.first, rows.second, tag++);
-    const auto b_by_bj =
-        bcast_row_panel(comm, s, t, cols.first, cols.second, tag++);
+    const auto a_by_bi = bcast_panel(comm, s, t, rows, true, tag++);
+    const auto b_by_bj = bcast_panel(comm, s, t, cols, false, tag++);
     for (const auto& [bi, aik] : a_by_bi) {
       for (const auto& [bj, btj] : b_by_bj) {
         DistBlock& target =
@@ -163,7 +118,7 @@ void cyclic_multiply(Comm& comm, CyclicState& s, std::pair<int, int> rows,
 void dc_cyclic_recurse(Comm& comm, CyclicState& s, int lo, int hi,
                        Tag& tag) {
   if (hi - lo == 1) {
-    const RankId owner = s.owner(lo, lo);
+    const RankId owner = s.layout.owner(lo, lo);
     if (comm.rank() == owner) s.ops += classical_fw(s.mine.at({lo, lo}));
     return;
   }
@@ -198,67 +153,27 @@ DistributedApspResult run_dc_apsp_cyclic(const Graph& graph, int q,
   Machine machine(p);
   const DistBlock full = to_distance_matrix(graph);
 
+  const CyclicLayout layout(n, q, nb);
   DistributedApspResult result;
-  std::vector<CostClock> apsp_clocks(static_cast<std::size_t>(p));
   result.ops_per_rank.assign(static_cast<std::size_t>(p), 0);
 
   machine.run([&](Comm& comm) {
-    CyclicState s;
-    s.q = q;
-    s.nb = nb;
-    s.offsets.resize(static_cast<std::size_t>(nb) + 1);
-    for (int b = 0; b <= nb; ++b)
-      s.offsets[static_cast<std::size_t>(b)] = n * b / nb;
-
     comm.set_phase("setup");
-    const int gr = comm.rank() / q, gc = comm.rank() % q;
-    for (int bi = gr; bi < nb; bi += q)
-      for (int bj = gc; bj < nb; bj += q)
-        s.mine[{bi, bj}] = full.sub_block(
-            s.offsets[static_cast<std::size_t>(bi)],
-            s.offsets[static_cast<std::size_t>(bj)], s.block_size(bi),
-            s.block_size(bj));
+    CyclicState s{layout, cyclic_blocks_of(layout, full, comm.rank())};
 
     comm.reset_clock();
     comm.set_phase("apsp");
     Tag tag = 0;
     dc_cyclic_recurse(comm, s, 0, nb, tag);
     result.ops_per_rank[static_cast<std::size_t>(comm.rank())] = s.ops;
-    apsp_clocks[static_cast<std::size_t>(comm.rank())] = comm.clock();
+    comm.stop_clock();
 
     comm.set_phase("collect");
-    if (comm.rank() != 0) {
-      for (const auto& [key, block] : s.mine) {
-        const auto [bi, bj] = key;
-        comm.send_block(0, tag + bi * nb + bj, block);
-      }
-    } else {
-      result.distances = DistBlock(n, n);
-      for (int bi = 0; bi < nb; ++bi) {
-        for (int bj = 0; bj < nb; ++bj) {
-          const RankId owner = s.owner(bi, bj);
-          const DistBlock piece =
-              owner == 0 ? s.mine.at({bi, bj})
-                         : comm.recv_block(owner, tag + bi * nb + bj,
-                                           s.block_size(bi),
-                                           s.block_size(bj));
-          result.distances.set_sub_block(
-              s.offsets[static_cast<std::size_t>(bi)],
-              s.offsets[static_cast<std::size_t>(bj)], piece);
-        }
-      }
-    }
+    DistBlock collected = collect_cyclic(comm, layout, s.mine, tag);
+    if (comm.rank() == 0) result.distances = std::move(collected);
   });
 
   result.costs = machine.report();
-  result.costs.critical_latency = 0;
-  result.costs.critical_bandwidth = 0;
-  for (const auto& clock : apsp_clocks) {
-    result.costs.critical_latency =
-        std::max(result.costs.critical_latency, clock.latency);
-    result.costs.critical_bandwidth =
-        std::max(result.costs.critical_bandwidth, clock.words);
-  }
   return result;
 }
 

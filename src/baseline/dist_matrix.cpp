@@ -279,4 +279,47 @@ DistBlock scatter_matrix(Comm& comm, const GridLayout& layout,
                          rect.rows(), rect.cols());
 }
 
+CyclicLayout::CyclicLayout(std::int64_t n, int grid_side, int blocks)
+    : q(grid_side), nb(blocks), offsets(static_cast<std::size_t>(blocks) + 1) {
+  for (int b = 0; b <= nb; ++b)
+    offsets[static_cast<std::size_t>(b)] = n * b / nb;
+}
+
+CyclicBlocks cyclic_blocks_of(const CyclicLayout& layout,
+                              const DistBlock& full, RankId rank) {
+  const auto [gr, gc] = layout.grid_coords(rank);
+  CyclicBlocks mine;
+  for (int bi = gr; bi < layout.nb; bi += layout.q)
+    for (int bj = gc; bj < layout.nb; bj += layout.q)
+      mine[{bi, bj}] =
+          full.sub_block(layout.offset(bi), layout.offset(bj),
+                         layout.block_size(bi), layout.block_size(bj));
+  return mine;
+}
+
+DistBlock collect_cyclic(Comm& comm, const CyclicLayout& layout,
+                         const CyclicBlocks& mine, Tag tag) {
+  const int nb = layout.nb;
+  if (comm.rank() != 0) {
+    for (const auto& [key, block] : mine) {
+      const auto [bi, bj] = key;
+      comm.send_block(0, tag + bi * nb + bj, block);
+    }
+    return {};
+  }
+  DistBlock full(layout.offset(nb), layout.offset(nb));
+  for (int bi = 0; bi < nb; ++bi) {
+    for (int bj = 0; bj < nb; ++bj) {
+      const RankId owner = layout.owner(bi, bj);
+      const DistBlock piece =
+          owner == 0 ? mine.at({bi, bj})
+                     : comm.recv_block(owner, tag + bi * nb + bj,
+                                       layout.block_size(bi),
+                                       layout.block_size(bj));
+      full.set_sub_block(layout.offset(bi), layout.offset(bj), piece);
+    }
+  }
+  return full;
+}
+
 }  // namespace capsp

@@ -6,10 +6,12 @@
 // offset vectors plus the rank list, so subgrids, uneven splits, and
 // windowed views compose uniformly.  The free functions are SPMD: every
 // rank of the machine may call them; ranks that own no part of the source
-// or destination do nothing.
+// or destination do nothing.  CyclicLayout is the block-cyclic counterpart
+// the cyclic baselines (fw2d.cpp, dc_cyclic.cpp) share.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -97,6 +99,37 @@ class GridLayout {
   int grid_rows_ = 0, grid_cols_ = 0;
   std::vector<std::int64_t> row_offsets_, col_offsets_;
 };
+
+/// Block-cyclic layout of an n×n matrix on a q×q grid: nb×nb blocks,
+/// block (bi, bj) on rank (bi mod q, bj mod q).
+struct CyclicLayout {
+  CyclicLayout(std::int64_t n, int grid_side, int blocks);
+
+  int q;                              ///< grid side
+  int nb;                             ///< blocks per dimension
+  std::vector<std::int64_t> offsets;  ///< nb+1 global boundaries
+
+  std::int64_t offset(int b) const {
+    return offsets[static_cast<std::size_t>(b)];
+  }
+  std::int64_t block_size(int b) const { return offset(b + 1) - offset(b); }
+  RankId owner(int bi, int bj) const { return (bi % q) * q + (bj % q); }
+  std::pair<int, int> grid_coords(RankId r) const { return {r / q, r % q}; }
+  RankId rank_at(int gr, int gc) const { return gr * q + gc; }
+};
+
+/// One rank's blocks of a CyclicLayout, keyed by global block coordinates.
+using CyclicBlocks = std::map<std::pair<int, int>, DistBlock>;
+
+/// `rank`'s blocks of the full matrix (read directly, no messages).
+CyclicBlocks cyclic_blocks_of(const CyclicLayout& layout,
+                              const DistBlock& full, RankId rank);
+
+/// Collect every rank's blocks into the full matrix on rank 0 by direct
+/// sends, block (bi, bj) under tag + bi·nb + bj.  Every rank must call;
+/// returns the matrix on rank 0 and an empty block elsewhere.
+DistBlock collect_cyclic(Comm& comm, const CyclicLayout& layout,
+                         const CyclicBlocks& mine, Tag tag);
 
 /// Move a distributed window between layouts.  The layouts' windows must
 /// coincide.  Every rank in either layout must call; returns the local

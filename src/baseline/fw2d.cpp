@@ -9,21 +9,6 @@
 namespace capsp {
 namespace {
 
-/// Per-rank view of the block-cyclic layout.
-struct CyclicLayout {
-  int q = 0;                          // grid side
-  int nb = 0;                         // blocks per dimension
-  std::vector<std::int64_t> offsets;  // nb+1 global boundaries
-
-  std::int64_t block_size(int b) const {
-    return offsets[static_cast<std::size_t>(b) + 1] -
-           offsets[static_cast<std::size_t>(b)];
-  }
-  RankId owner(int bi, int bj) const { return (bi % q) * q + (bj % q); }
-  std::pair<int, int> grid_coords(RankId r) const { return {r / q, r % q}; }
-  RankId rank_at(int gr, int gc) const { return gr * q + gc; }
-};
-
 /// Pack `blocks` (in order) into one payload; unpack reverses it.
 std::vector<Dist> pack(const std::vector<const DistBlock*>& blocks) {
   std::vector<Dist> out;
@@ -46,15 +31,9 @@ DistributedApspResult run_fw2d(const Graph& graph, int q,
   Machine machine(p);
   const DistBlock full = to_distance_matrix(graph);
 
-  CyclicLayout layout;
-  layout.q = q;
-  layout.nb = nb;
-  layout.offsets.resize(static_cast<std::size_t>(nb) + 1);
-  for (int b = 0; b <= nb; ++b)
-    layout.offsets[static_cast<std::size_t>(b)] = n * b / nb;
+  const CyclicLayout layout(n, q, nb);
 
   DistributedApspResult result;
-  std::vector<CostClock> apsp_clocks(static_cast<std::size_t>(p));
   result.ops_per_rank.assign(static_cast<std::size_t>(p), 0);
 
   machine.run([&](Comm& comm) {
@@ -63,17 +42,11 @@ DistributedApspResult run_fw2d(const Graph& graph, int q,
     const auto [gr, gc] = layout.grid_coords(comm.rank());
     comm.set_phase("setup");
 
-    // Local blocks, keyed by global block coordinates (cyclic assignment).
-    // Setup reads the shared adjacency matrix directly (const, race-free)
-    // rather than messaging: data layout is the input condition, and only
-    // algorithm communication should be metered.
-    std::map<std::pair<int, int>, DistBlock> mine;
-    for (int bi = gr; bi < nb; bi += q)
-      for (int bj = gc; bj < nb; bj += q)
-        mine[{bi, bj}] = full.sub_block(
-            layout.offsets[static_cast<std::size_t>(bi)],
-            layout.offsets[static_cast<std::size_t>(bj)],
-            layout.block_size(bi), layout.block_size(bj));
+    // Local blocks (cyclic assignment).  Setup reads the shared adjacency
+    // matrix directly (const, race-free) rather than messaging: data
+    // layout is the input condition, and only algorithm communication
+    // should be metered.
+    CyclicBlocks mine = cyclic_blocks_of(layout, full, comm.rank());
 
     comm.reset_clock();
     comm.set_phase("apsp");
@@ -185,41 +158,14 @@ DistributedApspResult run_fw2d(const Graph& graph, int q,
       }
     }
 
-    apsp_clocks[static_cast<std::size_t>(comm.rank())] = comm.clock();
+    comm.stop_clock();
     comm.set_phase("collect");
     // Collect to rank 0 by direct sends (verification only).
-    if (comm.rank() != 0) {
-      for (const auto& [key, block] : mine) {
-        const auto [bi, bj] = key;
-        comm.send_block(0, tag + bi * nb + bj, block);
-      }
-    } else {
-      result.distances = DistBlock(n, n);
-      for (int bi = 0; bi < nb; ++bi) {
-        for (int bj = 0; bj < nb; ++bj) {
-          const RankId owner = layout.owner(bi, bj);
-          const DistBlock piece =
-              owner == 0 ? mine.at({bi, bj})
-                         : comm.recv_block(owner, tag + bi * nb + bj,
-                                           layout.block_size(bi),
-                                           layout.block_size(bj));
-          result.distances.set_sub_block(
-              layout.offsets[static_cast<std::size_t>(bi)],
-              layout.offsets[static_cast<std::size_t>(bj)], piece);
-        }
-      }
-    }
+    DistBlock collected = collect_cyclic(comm, layout, mine, tag);
+    if (comm.rank() == 0) result.distances = std::move(collected);
   });
 
   result.costs = machine.report();
-  result.costs.critical_latency = 0;
-  result.costs.critical_bandwidth = 0;
-  for (const auto& clock : apsp_clocks) {
-    result.costs.critical_latency =
-        std::max(result.costs.critical_latency, clock.latency);
-    result.costs.critical_bandwidth =
-        std::max(result.costs.critical_bandwidth, clock.words);
-  }
   return result;
 }
 

@@ -86,7 +86,11 @@ struct SparseApspOptions {
 struct SparseApspResult {
   DistBlock distances;     ///< APSP in original vertex order (empty if not
                            ///< collected)
-  CostReport costs;        ///< costs of the elimination phase only
+  /// Critical costs cover the measured window, reset_clock() to
+  /// stop_clock(): the elimination only.  The `collect` phase's volumes
+  /// still count in the totals (the Ω(n²) output floor the comm audit
+  /// checks).
+  CostReport costs;
   Vertex separator_size = 0;  ///< |S| of the top-level separator
   int height = 0;             ///< eTree height h
   int num_ranks = 0;          ///< p = (2^h - 1)²

@@ -5,10 +5,11 @@ namespace capsp {
 CostReport CostReport::aggregate(const std::vector<RankCost>& ranks) {
   CostReport report;
   for (const auto& rank : ranks) {
+    const CostClock& measured = rank.measured_clock();
     report.critical_latency =
-        std::max(report.critical_latency, rank.clock.latency);
+        std::max(report.critical_latency, measured.latency);
     report.critical_bandwidth =
-        std::max(report.critical_bandwidth, rank.clock.words);
+        std::max(report.critical_bandwidth, measured.words);
     std::int64_t rank_messages = 0, rank_words = 0;
     for (const auto& [phase, volume] : rank.volume_by_phase) {
       report.phase_total[phase] += volume;

@@ -12,14 +12,16 @@
 // processor can receive only one message at a time, so back-to-back
 // receives serialize — while the max() keeps disjoint concurrent transfers
 // from accumulating.  The machine-wide critical-path cost is the max of the
-// final clocks; message/word *volumes* are additionally counted per rank
-// and per algorithm phase so each lemma's per-region decomposition can be
-// checked.
+// clocks at the end of each rank's measured window (Comm::stop_clock, or
+// the final clock when a rank never stops); message/word *volumes* are
+// additionally counted per rank and per algorithm phase, window or not, so
+// each lemma's per-region decomposition can be checked.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -147,6 +149,9 @@ struct PhaseVolume {
 /// `machine.comm.*` metrics) are built from it after the ranks join.
 struct RankCost {
   CostClock clock;
+  /// The clock at Comm::stop_clock(): the end of the measured window.
+  /// Frames after it still advance `clock` and count in the volumes.
+  std::optional<CostClock> stop;
   std::map<std::string, PhaseVolume> volume_by_phase;
   /// Volumes counted before the last Comm::reset_clock(), segmented away
   /// so setup/data-distribution traffic never pollutes the per-phase
@@ -155,6 +160,9 @@ struct RankCost {
   /// Log2 histogram of every frame's words, pre-reset frames included.
   Histogram frame_words;
   std::string current_phase = "default";
+
+  /// This rank's headline clock: at the stop point, else the final clock.
+  const CostClock& measured_clock() const { return stop ? *stop : clock; }
 
   void count_send(std::int64_t word_count) {
     auto& v = volume_by_phase[current_phase];
@@ -178,8 +186,8 @@ struct RankCost {
 /// the setup_* fields so the headline numbers describe the measured
 /// algorithm only.
 struct CostReport {
-  double critical_latency = 0;     ///< max final latency clock (paper's L)
-  double critical_bandwidth = 0;   ///< max final word clock (paper's B)
+  double critical_latency = 0;     ///< max measured latency clock (paper's L)
+  double critical_bandwidth = 0;   ///< max measured word clock (paper's B)
   std::int64_t total_messages = 0; ///< Σ over ranks (network volume)
   std::int64_t total_words = 0;
   std::int64_t max_rank_messages = 0;  ///< busiest rank, volume terms

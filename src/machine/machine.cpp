@@ -590,7 +590,13 @@ void Machine::run(const std::function<void(Comm&)>& program) {
   }
   if (tracing_) {
     trace_.per_rank.reserve(comms.size());
-    for (auto& comm : comms) trace_.per_rank.push_back(std::move(comm.trace_));
+    trace_.stop_index.reserve(comms.size());
+    for (auto& comm : comms) {
+      trace_.stop_index.push_back(
+          comm.stop_event_ >= 0 ? static_cast<std::size_t>(comm.stop_event_)
+                                : comm.trace_.size());
+      trace_.per_rank.push_back(std::move(comm.trace_));
+    }
   }
   if (record_comm_) {
     // Rank threads have joined; drain whatever each rank recorded since

@@ -81,16 +81,18 @@ class Comm {
     cost_.current_phase = std::move(phase);
   }
 
-  /// Zero this rank's critical-path clock AND segment the per-phase
-  /// volumes: counts accumulated so far move to the pre-reset map
-  /// (CostReport::setup_*), and the post-reset per-phase volumes start
-  /// clean — so setup-phase traffic never pollutes the measured
-  /// algorithm's volumes, even if a phase label is reused.  Call after
-  /// setup/data distribution so the measured critical path covers only
-  /// the algorithm (all setup messages must already be received on this
-  /// rank).
+  /// Start line of the measured window.  Zero this rank's critical-path
+  /// clock AND segment the per-phase volumes: counts accumulated so far
+  /// move to the pre-reset map (CostReport::setup_*), and the post-reset
+  /// per-phase volumes start clean — so setup-phase traffic never
+  /// pollutes the measured algorithm's volumes, even if a phase label is
+  /// reused.  Call after setup/data distribution so the measured critical
+  /// path covers only the algorithm (all setup messages must already be
+  /// received on this rank).  Clears an earlier stop_clock().
   void reset_clock() {
     cost_.clock = CostClock{};
+    cost_.stop.reset();
+    stop_event_ = -1;
     cost_.segment_volumes_at_reset();
     if (tracing_) {
       TraceEvent event;
@@ -98,6 +100,17 @@ class Comm {
       event.phase = cost_.current_phase;
       trace_.push_back(std::move(event));
     }
+  }
+
+  /// Finish line of the measured window: this rank's clock here is its
+  /// share of the headline critical_latency/critical_bandwidth, and the
+  /// critical-path walk (trace.hpp) starts from here.  Later frames (the
+  /// result collection) still advance the clock and still count in the
+  /// volumes, under their own phase.  A rank that never calls this is
+  /// measured to its final clock.
+  void stop_clock() {
+    cost_.stop = cost_.clock;
+    if (tracing_) stop_event_ = static_cast<std::int64_t>(trace_.size());
   }
 
   /// Record a computation span on this rank's trace timeline: `ops`
@@ -180,6 +193,8 @@ class Comm {
   bool tracing_;
   RankCost cost_;
   std::vector<TraceEvent> trace_;  // this rank's timeline (if tracing)
+  /// trace_.size() at stop_clock() (-1: never stopped in this window).
+  std::int64_t stop_event_ = -1;
   /// Per-rank comm ledger (non-null only when the machine runs with
   /// enable_comm_ledger(true)); single-writer, owned by Machine::Impl.
   RankCommLedger* ledger_ = nullptr;
@@ -292,8 +307,9 @@ class Machine {
 
   /// Blame-attributed critical path of the most recent traced run: the
   /// exact chain of events/messages that set the report's
-  /// critical_latency (or critical_bandwidth), with per-phase cost
-  /// segments that sum to the total.  CHECK-fails without a trace.
+  /// critical_latency (or critical_bandwidth) — the measured window,
+  /// reset_clock() to stop_clock() — with per-phase cost segments that
+  /// sum to the total.  CHECK-fails without a trace.
   CriticalPathReport critical_path(CostAxis axis = CostAxis::kLatency) const {
     return extract_critical_path(trace_, axis);
   }

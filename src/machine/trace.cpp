@@ -25,17 +25,19 @@ CriticalPathReport extract_critical_path(const Trace& trace, CostAxis axis) {
   CriticalPathReport report;
   report.axis = axis;
 
-  // Start at the rank whose final clock is maximal on this axis (its last
-  // event's `after` clock — kClockReset events record after = 0, so a
-  // reset-terminated timeline correctly reads as zero).
+  // Start at the rank whose clock at its stop point is maximal on this
+  // axis: the `after` clock of the event just before the stop (kClockReset
+  // events record after = 0, so a window that ends at its reset reads as
+  // zero).
   RankId start_rank = -1;
   for (RankId r = 0; r < static_cast<RankId>(trace.per_rank.size()); ++r) {
-    const auto& timeline = trace.per_rank[static_cast<std::size_t>(r)];
-    if (timeline.empty()) continue;
-    const double final_clock = axis_of(timeline.back().after, axis);
-    if (start_rank < 0 || final_clock > report.total) {
+    const std::size_t stop = trace.stop_index[static_cast<std::size_t>(r)];
+    if (stop == 0) continue;
+    const double stop_clock = axis_of(
+        trace.per_rank[static_cast<std::size_t>(r)][stop - 1].after, axis);
+    if (start_rank < 0 || stop_clock > report.total) {
       start_rank = r;
-      report.total = final_clock;
+      report.total = stop_clock;
     }
   }
   if (start_rank < 0) return report;  // no events at all: empty path
@@ -45,11 +47,10 @@ CriticalPathReport extract_critical_path(const Trace& trace, CostAxis axis) {
   // event on the same rank.  `before` on a rank's timeline always equals
   // the previous event's `after`, and a winning message's clock equals
   // the sender's `after`, so contribution = after − predecessor.after
-  // telescopes to the final clock exactly.
+  // telescopes to the stop clock exactly.
   RankId rank = start_rank;
   std::int64_t index = static_cast<std::int64_t>(
-                           trace.per_rank[static_cast<std::size_t>(rank)]
-                               .size()) -
+                           trace.stop_index[static_cast<std::size_t>(rank)]) -
                        1;
   while (index >= 0) {
     const TraceEvent& e =

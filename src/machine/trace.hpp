@@ -7,8 +7,9 @@
 // Receive events additionally record *blame*: which predecessor — the
 // rank's own history or the incoming message — supplied each axis of the
 // clock merge (cost_model.hpp).  Those blame bits form a DAG over events;
-// walking it backward from the maximum final clock reconstructs the exact
-// chain of messages that set CostReport::critical_latency (or
+// walking it backward from the maximum clock at the end of the measured
+// window (Comm::stop_clock, else the end of the timeline) reconstructs the
+// exact chain of messages that set CostReport::critical_latency (or
 // critical_bandwidth), attributed per phase.  This is the lens the
 // message-optimality literature uses to compare algorithm designs, and it
 // is what lets a deviation from the O(log² p) bound be traced to the
@@ -61,6 +62,10 @@ struct TraceEvent {
 /// Machine::enable_tracing(true) was set before run().
 struct Trace {
   std::vector<std::vector<TraceEvent>> per_rank;
+  /// Per rank: the number of events recorded before Comm::stop_clock()
+  /// (the timeline's size when the rank never stopped).  Events from here
+  /// on — the result collection — lie outside the measured window.
+  std::vector<std::size_t> stop_index;
 
   bool enabled() const { return !per_rank.empty(); }
 
@@ -95,7 +100,7 @@ struct CriticalPathHop {
 };
 
 /// Critical path extracted by walking blame pointers backward from the
-/// rank with the maximum final clock on `axis`.
+/// rank with the maximum stop clock on `axis`.
 struct CriticalPathReport {
   CostAxis axis = CostAxis::kLatency;
   double total = 0;  ///< == CostReport critical cost on this axis
@@ -105,12 +110,12 @@ struct CriticalPathReport {
 };
 
 /// Walk the blame chain of `trace` on `axis`.  The walk starts at the
-/// rank whose final clock is maximal (ties: lowest rank), follows each
-/// event's blamed predecessor — the previous local event, or across a
-/// message to the sender's timeline — and stops at a kClockReset event or
-/// the start of a timeline (both are clock zero, so the step
-/// contributions always sum to `total` exactly).  CHECK-fails on an empty
-/// (tracing-disabled) trace.
+/// rank whose clock at its stop point is maximal (ties: lowest rank), at
+/// the event just before the stop, follows each event's blamed
+/// predecessor — the previous local event, or across a message to the
+/// sender's timeline — and stops at a kClockReset event or the start of a
+/// timeline (both are clock zero, so the step contributions always sum to
+/// `total` exactly).  CHECK-fails on an empty (tracing-disabled) trace.
 CriticalPathReport extract_critical_path(const Trace& trace, CostAxis axis);
 
 }  // namespace capsp

@@ -166,4 +166,8 @@ class SnapshotReader {
   DistBlock matrix_;
 };
 
+/// Reassemble the full matrix from every tile of `reader` (a verification
+/// oracle: it holds the whole n×n matrix in memory).
+DistBlock read_matrix(const SnapshotReader& reader);
+
 }  // namespace capsp

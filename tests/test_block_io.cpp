@@ -38,12 +38,7 @@ std::string temp_path(const std::string& name) {
 DistBlock round_trip(const DistBlock& block, std::int64_t tile_dim) {
   const std::string path = temp_path("roundtrip.snap");
   write_snapshot(path, block, tile_dim);
-  const SnapshotReader reader(path);
-  const SnapshotHeader& h = reader.header();
-  DistBlock full(h.rows, h.cols);
-  for (std::int64_t t = 0; t < h.num_tiles(); ++t)
-    full.set_sub_block((t / h.tile_cols()) * h.tile_dim,
-                       (t % h.tile_cols()) * h.tile_dim, reader.read_tile(t));
+  DistBlock full = read_matrix(SnapshotReader(path));
   std::remove(path.c_str());
   return full;
 }

@@ -28,16 +28,6 @@ DistBlock random_matrix(std::int64_t rows, std::int64_t cols,
   return block;
 }
 
-/// Reassemble the full matrix from a reader's tiles.
-DistBlock reassemble(const SnapshotReader& reader) {
-  const SnapshotHeader& h = reader.header();
-  DistBlock full(h.rows, h.cols);
-  for (std::int64_t t = 0; t < h.num_tiles(); ++t)
-    full.set_sub_block((t / h.tile_cols()) * h.tile_dim,
-                       (t % h.tile_cols()) * h.tile_dim, reader.read_tile(t));
-  return full;
-}
-
 TEST(SnapshotHeader, TileGeometry) {
   const SnapshotHeader h{10, 7, 4};
   EXPECT_EQ(h.tile_rows(), 3);
@@ -57,7 +47,7 @@ TEST(Snapshot, RoundTripBitExact) {
   const SnapshotReader reader(path);
   EXPECT_TRUE(reader.file_backed());
   EXPECT_EQ(reader.header().tile_dim, 8);
-  EXPECT_EQ(reassemble(reader), matrix);
+  EXPECT_EQ(read_matrix(reader), matrix);
   std::remove(path.c_str());
 }
 
@@ -86,7 +76,7 @@ TEST(Snapshot, FuzzRoundTripPreservesEveryEntry) {
     const SnapshotReader reader(path);
     ASSERT_EQ(reader.header().rows, rows);
     ASSERT_EQ(reader.header().cols, cols);
-    ASSERT_EQ(reassemble(reader), matrix)
+    ASSERT_EQ(read_matrix(reader), matrix)
         << "round " << round << ": " << rows << "x" << cols << " tile "
         << tile;
   }
@@ -98,7 +88,7 @@ TEST(Snapshot, InMemoryReaderTilesVirtually) {
   const SnapshotReader reader(matrix, 4);
   EXPECT_FALSE(reader.file_backed());
   EXPECT_EQ(reader.header().num_tiles(), 3 * 2);
-  EXPECT_EQ(reassemble(reader), matrix);
+  EXPECT_EQ(read_matrix(reader), matrix);
   EXPECT_EQ(reader.tile_bytes(0),
             4 * 4 * static_cast<std::int64_t>(sizeof(Dist)));
   // bottom-right tile is clipped to 3x1

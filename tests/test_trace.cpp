@@ -1,6 +1,7 @@
 // The observability layer (docs/observability.md): event tracing, blame
 // attribution, critical-path extraction, volume segmentation at
-// reset_clock, traffic-matrix hygiene, and the JSON exporters.
+// reset_clock, the stop_clock window end, traffic-matrix hygiene, and the
+// JSON exporters.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -129,32 +130,86 @@ TEST(Trace, ClockMonotoneAlongEveryTimeline) {
 }
 
 TEST(Trace, SegmentsSumToCriticalCostsOnSparseApsp) {
-  // ISSUE acceptance: the per-phase critical-path segments must sum to
-  // the report's critical costs exactly (every value is integer-valued).
+  // The per-phase critical-path segments must sum to the report's
+  // critical costs exactly (every value is integer-valued), with result
+  // collection off and on: the walk ends where the measured window does,
+  // so the collection never shows up as a segment.
   Rng rng(5);
   const Graph graph = make_grid2d(10, 10, rng);
-  for (int h : {2, 3}) {
-    SparseApspOptions options;
-    options.height = h;
-    options.collect_distances = false;
-    options.trace = true;
-    const SparseApspResult result = run_sparse_apsp(graph, options);
-    for (const CostAxis axis : {CostAxis::kLatency, CostAxis::kBandwidth}) {
-      const CriticalPathReport path =
-          extract_critical_path(result.trace, axis);
-      const double expected = axis == CostAxis::kLatency
-                                  ? result.costs.critical_latency
-                                  : result.costs.critical_bandwidth;
-      EXPECT_EQ(path.total, expected);
-      double by_phase_sum = 0;
-      for (const auto& [phase, cost] : path.by_phase) by_phase_sum += cost;
-      EXPECT_EQ(by_phase_sum, expected);
-      // Phase labels on the path are the algorithm's L<l>/R<r> labels.
-      for (const auto& [phase, cost] : path.by_phase)
-        EXPECT_TRUE(phase.find("R") != std::string::npos ||
-                    phase == "collect" || phase == "setup")
-            << phase;
+  for (const bool collect : {false, true}) {
+    for (int h : {2, 3}) {
+      SparseApspOptions options;
+      options.height = h;
+      options.collect_distances = collect;
+      options.trace = true;
+      const SparseApspResult result = run_sparse_apsp(graph, options);
+      for (const CostAxis axis : {CostAxis::kLatency, CostAxis::kBandwidth}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "collect=" << collect << " h=" << h << " axis="
+                     << (axis == CostAxis::kLatency ? "L" : "B"));
+        const CriticalPathReport path =
+            extract_critical_path(result.trace, axis);
+        const double expected = axis == CostAxis::kLatency
+                                    ? result.costs.critical_latency
+                                    : result.costs.critical_bandwidth;
+        EXPECT_EQ(path.total, expected);
+        double by_phase_sum = 0;
+        for (const auto& [phase, cost] : path.by_phase) by_phase_sum += cost;
+        EXPECT_EQ(by_phase_sum, expected);
+        EXPECT_EQ(path.by_phase.count("collect"), 0u);
+        // Phase labels on the path are the algorithm's L<l>/R<r> labels.
+        for (const auto& [phase, cost] : path.by_phase)
+          EXPECT_TRUE(phase.find("R") != std::string::npos ||
+                      phase == "setup")
+              << phase;
+      }
     }
+  }
+}
+
+TEST(Trace, FramesAfterStopClockCountInVolumesOnly) {
+  Machine machine(2);
+  machine.enable_tracing(true);
+  machine.run([](Comm& comm) {
+    comm.set_phase("work");
+    if (comm.rank() == 0) {
+      const std::vector<Dist> payload(2, 1.0);
+      comm.send(1, 1, payload);
+    } else {
+      comm.recv(0, 1);
+    }
+    comm.stop_clock();
+    comm.set_phase("collect");
+    if (comm.rank() == 1) {
+      const std::vector<Dist> payload(7, 2.0);
+      comm.send(0, 2, payload);
+    } else {
+      comm.recv(1, 2);
+    }
+  });
+  const CostReport& report = machine.report();
+  // Volumes count every frame, the post-stop one included.
+  EXPECT_EQ(report.total_messages, 2);
+  EXPECT_EQ(report.total_words, 9);
+  ASSERT_TRUE(report.phase_total.count("collect"));
+  EXPECT_EQ(report.phase_total.at("collect").words, 7);
+  // The headline stops at stop_clock(), though the clocks ran on to (2, 9).
+  EXPECT_EQ(report.critical_latency, 1);
+  EXPECT_EQ(report.critical_bandwidth, 2);
+  EXPECT_EQ(machine.trace().per_rank[0].back().after.latency, 2);
+  EXPECT_EQ(machine.trace().per_rank[0].back().after.words, 9);
+
+  for (const CostAxis axis : {CostAxis::kLatency, CostAxis::kBandwidth}) {
+    const CriticalPathReport path = machine.critical_path(axis);
+    EXPECT_EQ(path.total, axis == CostAxis::kLatency
+                              ? report.critical_latency
+                              : report.critical_bandwidth);
+    EXPECT_EQ(path.by_phase.size(), 1u);
+    EXPECT_EQ(path.by_phase.count("work"), 1u);
+    for (const auto& step : path.steps)
+      EXPECT_LT(static_cast<std::size_t>(step.event),
+                machine.trace().stop_index[static_cast<std::size_t>(
+                    step.rank)]);
   }
 }
 

@@ -607,12 +607,7 @@ int run_chaos(const Cli& cli, const std::shared_ptr<SnapshotReader>& reader,
               double duration_s) {
   // The fault-free oracle, reassembled before any injector can touch the
   // reader: under chaos, "correct" means bit-exact against this matrix.
-  const SnapshotHeader& h = reader->header();
-  DistBlock oracle(h.rows, h.cols);
-  for (std::int64_t t = 0; t < h.num_tiles(); ++t)
-    oracle.set_sub_block((t / h.tile_cols()) * h.tile_dim,
-                         (t % h.tile_cols()) * h.tile_dim,
-                         reader->read_tile(t));
+  const DistBlock oracle = read_matrix(*reader);
 
   // SIGINT/SIGTERM drain the clients and still print the summary — the
   // same operator contract as a plain soak.
@@ -679,7 +674,7 @@ int run_chaos(const Cli& cli, const std::shared_ptr<SnapshotReader>& reader,
         {{"phase", "clean"},
          {"mix", mix},
          {"n", n},
-         {"tile", h.tile_dim},
+         {"tile", reader->header().tile_dim},
          {"cache_bytes", base.cache_bytes},
          {"threads", static_cast<std::int64_t>(base.threads)},
          {"clients", static_cast<std::int64_t>(clients)},
@@ -695,7 +690,7 @@ int run_chaos(const Cli& cli, const std::shared_ptr<SnapshotReader>& reader,
         {{"phase", "chaos"},
          {"mix", mix},
          {"n", n},
-         {"tile", h.tile_dim},
+         {"tile", reader->header().tile_dim},
          {"cache_bytes", base.cache_bytes},
          {"threads", static_cast<std::int64_t>(base.threads)},
          {"clients", static_cast<std::int64_t>(clients)},
@@ -1042,17 +1037,16 @@ int mode_serve(const Cli& cli, Rng& rng) {
   const double gap_mean =
       gaps.empty() ? 0.0 : gap_sum / static_cast<double>(gaps.size());
 
-  if (cli.get_bool("verify", false)) {
-    // Reassemble the full matrix from tiles and recheck every answer
-    // bit-exactly (the acceptance bar for the serving layer).
-    const SnapshotHeader& h = reader->header();
-    DistBlock full(h.rows, h.cols);
-    for (std::int64_t t = 0; t < h.num_tiles(); ++t)
-      full.set_sub_block((t / h.tile_cols()) * h.tile_dim,
-                         (t % h.tile_cols()) * h.tile_dim, reader->read_tile(t));
-    // Only ok answers carry the exactness contract: under a fault plan a
-    // request may legitimately come back degraded, and checking its
-    // placeholder distance would punish correct load shedding.
+  // Both verifications check against the full matrix, reassembled once.
+  const bool verify = cli.get_bool("verify", false);
+  const DistBlock full =
+      verify || verify_stretch ? read_matrix(*reader) : DistBlock();
+  if (verify) {
+    // Recheck every answer bit-exactly (the acceptance bar for the
+    // serving layer).  Only ok answers carry the exactness contract: under
+    // a fault plan a request may legitimately come back degraded, and
+    // checking its placeholder distance would punish correct load
+    // shedding.
     std::int64_t checked = 0;
     for (std::size_t i = 0; i < queries.size(); ++i) {
       if (outcomes[i].error != ServeError::kOk) continue;
@@ -1072,12 +1066,6 @@ int mode_serve(const Cli& cli, Rng& rng) {
     // interval must contain the exact distance, and an exact-tier answer
     // must BE the exact distance.  A single violation means the sketch
     // math (or the escalation policy) is wrong — fail loudly.
-    const SnapshotHeader& h = reader->header();
-    DistBlock full(h.rows, h.cols);
-    for (std::int64_t t = 0; t < h.num_tiles(); ++t)
-      full.set_sub_block((t / h.tile_cols()) * h.tile_dim,
-                         (t % h.tile_cols()) * h.tile_dim,
-                         reader->read_tile(t));
     std::int64_t checked = 0;
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const Outcome& outcome = outcomes[i];
