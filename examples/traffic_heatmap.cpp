@@ -2,9 +2,10 @@
 // 2D-DC-APSP on the same graph.
 //
 // This example uses the *advanced* (SPMD) API — it builds the machine by
-// hand, enables the comm ledger, and drives sparse_apsp_rank /
-// dc_apsp_rank directly — and then renders the ledger's p×p word heatmap
-// (raw transport, so every frame's words are payload words).
+// hand, builds the schedule once, enables the comm ledger, and drives
+// sparse_apsp_rank / dc_apsp_rank directly — and then renders the
+// ledger's p×p word heatmap (raw transport, so every frame's words are
+// payload words).
 // The sparse algorithm's heatmap shows the eTree structure: leaf rows
 // talk only along their root paths, separator rows fan out, and most
 // rank pairs never exchange a word (the communication the algorithm
@@ -72,6 +73,7 @@ int main(int argc, char** argv) {
   Rng nd_rng(4);
   const Dissection nd = nested_dissection(graph, height, nd_rng);
   const ApspLayout layout(nd);
+  const ApspSchedule schedule(layout);
   const Graph reordered = apply_dissection(graph, nd);
   Machine sparse_machine(layout.num_ranks());
   sparse_machine.enable_comm_ledger(true);
@@ -80,7 +82,7 @@ int main(int argc, char** argv) {
     DistBlock local = adjacency_block(
         reordered, layout.range_of(i).begin, layout.range_of(i).end,
         layout.range_of(j).begin, layout.range_of(j).end);
-    sparse_apsp_rank(comm, layout, local);
+    sparse_apsp_rank(comm, schedule, local);
   });
   print_heatmap(sparse_machine.comm_ledger(),
                 "2D-SPARSE-APSP traffic (p = " +

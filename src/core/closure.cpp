@@ -2,6 +2,7 @@
 
 #include <queue>
 
+#include "core/superfw.hpp"
 #include "semiring/semirings.hpp"
 
 namespace capsp {
@@ -20,49 +21,6 @@ DistBlock semiring_matrix(const Graph& graph,
       a.at(v, nb.to) = S::plus(a.at(v, nb.to), edge_value(nb.weight));
   }
   return a;
-}
-
-/// Level-by-level supernodal elimination over semiring S — the identical
-/// schedule superfw() runs for min-plus.
-template <typename S>
-void supernodal_eliminate(DistBlock& a, const Dissection& nd) {
-  const EliminationTree& tree = nd.tree;
-  auto load = [&](Snode i, Snode j) {
-    const auto& ri = nd.range_of(i);
-    const auto& rj = nd.range_of(j);
-    return a.sub_block(ri.begin, rj.begin, ri.size(), rj.size());
-  };
-  auto store = [&](Snode i, Snode j, const DistBlock& block) {
-    a.set_sub_block(nd.range_of(i).begin, nd.range_of(j).begin, block);
-  };
-  for (int l = 1; l <= tree.height(); ++l) {
-    for (Snode k : tree.level_set(l)) {
-      std::vector<Snode> related = tree.descendants(k);
-      const auto anc = tree.ancestors(k);
-      related.insert(related.end(), anc.begin(), anc.end());
-
-      DistBlock akk = load(k, k);
-      semiring_fw<S>(akk);
-      store(k, k, akk);
-      for (Snode i : related) {
-        DistBlock aik = load(i, k);
-        semiring_accumulate<S>(aik, aik, akk);
-        store(i, k, aik);
-        DistBlock aki = load(k, i);
-        semiring_accumulate<S>(aki, akk, aki);
-        store(k, i, aki);
-      }
-      for (Snode i : related) {
-        const DistBlock aik = load(i, k);
-        for (Snode j : related) {
-          DistBlock aij = load(i, j);
-          const DistBlock akj = load(k, j);
-          semiring_accumulate<S>(aij, aik, akj);
-          store(i, j, aij);
-        }
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -86,21 +44,11 @@ DistBlock transitive_closure(const Graph& graph) {
 
 DistBlock bottleneck_apsp_supernodal(const Graph& graph,
                                      const Dissection& nd) {
-  const Graph reordered = apply_dissection(graph, nd);
-  DistBlock a = semiring_matrix<MaxMinSemiring>(
-      reordered, +[](Weight w) {
-        CAPSP_CHECK_MSG(w > 0, "bottleneck capacities must be positive");
-        return static_cast<Dist>(w);
-      });
-  supernodal_eliminate<MaxMinSemiring>(a, nd);
-  // Map back to the original numbering.
-  const Vertex n = graph.num_vertices();
-  DistBlock original(n, n);
-  for (Vertex u = 0; u < n; ++u)
-    for (Vertex v = 0; v < n; ++v)
-      original.at(u, v) = a.at(nd.perm[static_cast<std::size_t>(u)],
-                               nd.perm[static_cast<std::size_t>(v)]);
-  return original;
+  CAPSP_CHECK_MSG(graph.min_edge_weight() > 0 || graph.num_edges() == 0,
+                  "bottleneck capacities must be positive");
+  return superfw_original_order(graph, nd,
+                                SemiringKernels::of<MaxMinSemiring>())
+      .distances;
 }
 
 std::vector<Dist> widest_path_sssp(const Graph& graph, Vertex source) {

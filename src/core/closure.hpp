@@ -20,9 +20,9 @@ DistBlock bottleneck_apsp(const Graph& graph);
 /// otherwise (diagonal 1).
 DistBlock transitive_closure(const Graph& graph);
 
-/// Bottleneck matrix computed with the *supernodal elimination schedule*
-/// over the MaxMin semiring (same level-by-level elimination as SuperFW /
-/// Algorithm 1, different algebra) — must equal bottleneck_apsp, which
+/// Bottleneck matrix computed by SuperFW over the MaxMin semiring (the
+/// level-by-level elimination of Algorithm 1, different algebra) — must
+/// equal bottleneck_apsp, which
 /// the tests assert.  Exists to machine-check that the paper's schedule
 /// is semiring-generic, not min-plus-specific.
 DistBlock bottleneck_apsp_supernodal(const Graph& graph,

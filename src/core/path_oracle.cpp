@@ -1,19 +1,10 @@
 #include "core/path_oracle.hpp"
 
 #include <algorithm>
-#include <cmath>
+
+#include "core/validate.hpp"
 
 namespace capsp {
-namespace {
-
-/// Tolerance for "these two path lengths are equal": exact for integer
-/// weights, forgiving of accumulated rounding for real ones.
-bool close(Dist a, Dist b) {
-  if (is_inf(a) || is_inf(b)) return is_inf(a) == is_inf(b);
-  return std::abs(a - b) <= 1e-9 * std::max({1.0, std::abs(a), std::abs(b)});
-}
-
-}  // namespace
 
 Vertex next_hop_via(const Graph& graph, Vertex u, Vertex v,
                     const DistFn& dist) {
@@ -31,7 +22,7 @@ Vertex next_hop_via(const Graph& graph, Vertex u, Vertex v,
       best = nb.to;
     }
   }
-  CAPSP_CHECK_MSG(best >= 0 && close(best_through, target),
+  CAPSP_CHECK_MSG(best >= 0 && dist_close(best_through, target),
                   "inconsistent distance matrix at (" << u << "," << v
                                                       << "): best through "
                                                       << best_through

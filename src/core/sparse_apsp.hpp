@@ -20,6 +20,7 @@
 
 #include "core/cost_oracle.hpp"
 #include "core/layout.hpp"
+#include "core/regions.hpp"
 #include "graph/graph.hpp"
 #include "machine/collectives.hpp"
 #include "machine/machine.hpp"
@@ -28,23 +29,6 @@
 #include "util/rng.hpp"
 
 namespace capsp {
-
-/// How the R⁴ computing units are assigned to processors (Sec. 5.2.2
-/// discusses all three; the paper's contribution is the last one).
-enum class R4Strategy {
-  /// The "trivial strategy ... used in SuperLU_DIST": the block owner
-  /// P_ij receives all 2q operand messages itself and computes the units
-  /// sequentially.  Per-level latency Θ(2^(h-l)) — Θ(√p) at level 1.
-  kSequential,
-  /// Units fan out to worker processors, but workers are *reused* across
-  /// blocks (all subsets share grid row 1), so blocks serialize on their
-  /// common workers.  The intermediate design point the paper's Lemma 5.1
-  /// warns about.
-  kSharedWorkers,
-  /// The paper's one-to-one mapping (Lemmas 5.3-5.4, Cor. 5.5): every
-  /// unit on its own processor; per-level latency O(log p).
-  kOneToOne,
-};
 
 struct SparseApspOptions {
   /// eTree height h; the machine has p = (2^h - 1)² ranks.
@@ -112,16 +96,15 @@ struct SparseApspResult {
   CommAudit comm_audit;
 };
 
-/// SPMD body of Algorithm 1.  Every rank of a p = N²-rank machine calls
-/// this with its block of the *reordered* adjacency matrix; on return the
-/// block holds the shortest distances.  Tags in [0, 2^40) are consumed.
-void sparse_apsp_rank(
-    Comm& comm, const ApspLayout& layout, DistBlock& local,
-    R4Strategy strategy = R4Strategy::kOneToOne,
-    CollectiveAlgorithm collectives = CollectiveAlgorithm::kBinomialTree,
-    std::int64_t* ops_out = nullptr,
-    std::vector<CostClock>* level_clocks_out = nullptr,
-    const SemiringKernels* kernels = nullptr);
+/// SPMD body of Algorithm 1: walks this rank's slice of `schedule`.
+/// Every rank of a p = N²-rank machine calls this with its block of the
+/// *reordered* adjacency matrix; on return the block holds the shortest
+/// distances.  Tags in [0, 2^40) are consumed.
+void sparse_apsp_rank(Comm& comm, const ApspSchedule& schedule,
+                      DistBlock& local, std::int64_t* ops_out = nullptr,
+                      std::vector<CostClock>* level_clocks_out = nullptr,
+                      const SemiringKernels& kernels =
+                          SemiringKernels::of<MinPlusSemiring>());
 
 /// Driver: pre-process, build the machine, run, gather, un-permute.
 SparseApspResult run_sparse_apsp(const Graph& graph,

@@ -17,13 +17,13 @@ std::string describe(const char* what, Vertex u, Vertex v, Dist got,
   return os.str();
 }
 
-bool close(Dist a, Dist b, double tolerance) {
+}  // namespace
+
+bool dist_close(Dist a, Dist b, double tolerance) {
   if (is_inf(a) || is_inf(b)) return is_inf(a) == is_inf(b);
   return std::abs(a - b) <=
          tolerance * std::max({1.0, std::abs(a), std::abs(b)});
 }
-
-}  // namespace
 
 ValidationReport validate_apsp(const Graph& graph, const DistBlock& dist,
                                double tolerance) {
@@ -43,7 +43,7 @@ ValidationReport validate_apsp(const Graph& graph, const DistBlock& dist,
       return fail(describe("nonzero diagonal", v, v, dist.at(v, v), 0));
   for (Vertex u = 0; u < n; ++u)
     for (Vertex v = u + 1; v < n; ++v)
-      if (!close(dist.at(u, v), dist.at(v, u), tolerance))
+      if (!dist_close(dist.at(u, v), dist.at(v, u), tolerance))
         return fail(describe("asymmetry", u, v, dist.at(u, v),
                              dist.at(v, u)));
 
@@ -68,7 +68,7 @@ ValidationReport validate_apsp(const Graph& graph, const DistBlock& dist,
       for (Vertex u = 0; u < n; ++u) {
         const Dist through = dist.at(u, x) + nb.weight;
         if (dist.at(u, nb.to) > through &&
-            !close(dist.at(u, nb.to), through, tolerance))
+            !dist_close(dist.at(u, nb.to), through, tolerance))
           return fail(describe("relaxable entry (too large)", u, nb.to,
                                dist.at(u, nb.to), through));
       }
@@ -82,7 +82,7 @@ ValidationReport validate_apsp(const Graph& graph, const DistBlock& dist,
       if (u == v || is_inf(dist.at(u, v))) continue;
       bool attained = false;
       for (const auto& nb : graph.neighbors(v)) {
-        if (close(dist.at(u, v), dist.at(u, nb.to) + nb.weight,
+        if (dist_close(dist.at(u, v), dist.at(u, nb.to) + nb.weight,
                   tolerance)) {
           attained = true;
           break;

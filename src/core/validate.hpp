@@ -32,6 +32,10 @@ struct ValidationReport {
   explicit operator bool() const { return ok; }
 };
 
+/// Distances equal up to `tolerance`, relative to max(1, |a|, |b|); two
+/// infinities are equal.
+bool dist_close(Dist a, Dist b, double tolerance = 1e-9);
+
 /// Check the full certificate.  Tolerance handles accumulated floating-
 /// point error for real-valued weights (exact for integer weights).
 ValidationReport validate_apsp(const Graph& graph, const DistBlock& dist,

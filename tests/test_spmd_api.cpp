@@ -23,6 +23,7 @@ TEST(SpmdApi, HandBuiltSparseRunMatchesDriver) {
   Rng nd_rng(2);
   const Dissection nd = nested_dissection(graph, 3, nd_rng);
   const ApspLayout layout(nd);
+  const ApspSchedule schedule(layout);
   const Graph reordered = apply_dissection(graph, nd);
 
   Machine machine(layout.num_ranks());
@@ -35,7 +36,7 @@ TEST(SpmdApi, HandBuiltSparseRunMatchesDriver) {
     DistBlock local = adjacency_block(
         reordered, layout.range_of(i).begin, layout.range_of(i).end,
         layout.range_of(j).begin, layout.range_of(j).end);
-    sparse_apsp_rank(comm, layout, local);
+    sparse_apsp_rank(comm, schedule, local);
     finals[static_cast<std::size_t>(comm.rank())] = std::move(local);
   });
 
@@ -66,6 +67,7 @@ TEST(SpmdApi, SparseTrafficIsSparserThanDense) {
   Rng nd_rng(4);
   const Dissection nd = nested_dissection(graph, 3, nd_rng);
   const ApspLayout layout(nd);
+  const ApspSchedule schedule(layout);
   const Graph reordered = apply_dissection(graph, nd);
   Machine machine(layout.num_ranks());
   machine.enable_comm_ledger(true);
@@ -74,7 +76,7 @@ TEST(SpmdApi, SparseTrafficIsSparserThanDense) {
     DistBlock local = adjacency_block(
         reordered, layout.range_of(i).begin, layout.range_of(i).end,
         layout.range_of(j).begin, layout.range_of(j).end);
-    sparse_apsp_rank(comm, layout, local);
+    sparse_apsp_rank(comm, schedule, local);
   });
   // Rank pairs that carried logical words.
   std::set<std::pair<RankId, RankId>> used;

@@ -3,6 +3,8 @@
 // interaction, and post-mortem observability.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "machine/machine.hpp"
 #include "machine/watchdog.hpp"
 
@@ -72,13 +74,18 @@ TEST(Watchdog, ReportsHandBuiltRecvCycle) {
     EXPECT_EQ(report.cycle, (std::vector<RankId>{0, 1, 2}));
     EXPECT_TRUE(report.dead.empty());
     ASSERT_EQ(report.blocked.size(), 3u);
+    double longest_wait = 0;
     for (const BlockedRecv& b : report.blocked) {
       EXPECT_EQ(b.src, (b.rank + 1) % 3);
       EXPECT_EQ(b.tag, 42);
       EXPECT_EQ(b.phase, "waiting");
       EXPECT_EQ(b.clock.latency, 0);  // blocked before any traffic
-      EXPECT_GE(b.waited_seconds, 0.2);
+      EXPECT_GT(b.waited_seconds, 0);
+      longest_wait = std::max(longest_wait, b.waited_seconds);
     }
+    // The watchdog fires once the *longest* wait passes the budget; a
+    // rank that reached its receive late under load has waited less.
+    EXPECT_GE(longest_wait, 0.2);
     // The human rendering names the pieces apsp_tool prints.
     const std::string text = report.to_string();
     EXPECT_NE(text.find("deadlock: watchdog fired"), std::string::npos);
